@@ -707,10 +707,19 @@ impl Vnode for ExtFile {
         if let Some(r) = pending {
             self.fs.flush_range(self, r, WriteReason::Fsync).await?;
         }
+        // Sweep each run of adjacent dirty pages, as UFS does: one sweep
+        // from the first to the last would look up (and so reference and
+        // reclaim) every clean page in between.
         let offsets = self.fs.inner.cache.dirty_offsets(self.id());
-        if let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) {
-            let range = first / BLOCK_SIZE as u64..last / BLOCK_SIZE as u64 + 1;
-            self.fs.flush_range(self, range, WriteReason::Fsync).await?;
+        let mut pages = offsets.iter().map(|o| o / BLOCK_SIZE as u64).peekable();
+        while let Some(start) = pages.next() {
+            let mut end = start + 1;
+            while pages.next_if_eq(&end).is_some() {
+                end += 1;
+            }
+            self.fs
+                .flush_range(self, start..end, WriteReason::Fsync)
+                .await?;
         }
         self.state.io.quiesce().await;
         // Deferred writes fail with no caller to tell; the sticky stream
@@ -768,7 +777,11 @@ impl ExtFile {
         span: SpanId,
     ) -> FsResult<usize> {
         let costs = self.fs.inner.params.costs;
-        self.fs.charge("syscall", costs.syscall).await;
+        // mmap access is a pure fault path: no syscall, no kernel
+        // map/unmap, no copyout (the paper's Figure 12 mode).
+        if mode == AccessMode::Copy {
+            self.fs.charge("syscall", costs.syscall).await;
+        }
         if let Some(n) = self.inline_read(off, buf) {
             // Inode-resident data: no page cache, no disk — just the copy.
             if mode == AccessMode::Copy && n > 0 {
@@ -790,8 +803,8 @@ impl ExtFile {
             let in_page = (pos % BLOCK_SIZE as u64) as usize;
             let n = ((BLOCK_SIZE - in_page) as u64).min(end - pos) as usize;
             let pid = self.fs.getpage(self, lbn, eof_blocks, span).await?;
-            self.fs.charge("map_unmap", costs.map_unmap).await;
             if mode == AccessMode::Copy {
+                self.fs.charge("map_unmap", costs.map_unmap).await;
                 self.fs.charge("copy", costs.copy(n)).await;
             }
             self.fs
@@ -1464,6 +1477,43 @@ mod tests {
                 disk.stats().reads,
                 extents.len() as u64,
                 "one transfer per physical run"
+            );
+        });
+    }
+
+    #[test]
+    fn mapped_read_of_resident_blocks_is_a_pure_fault_path() {
+        // Figure 12's mode: mmap access pays the fault and the
+        // translation, never the syscall, the kernel map/unmap or the
+        // copyout.
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let cpu = Cpu::new(&s);
+            let disk: SharedDevice = Rc::new(diskmodel::Disk::new(&s, DiskParams::small_test()));
+            let cache = PageCache::new(&s, PageCacheParams::small_test());
+            let params = ExtentFsParams::with_extent_blocks(4);
+            let costs = params.costs;
+            let fs = ExtentFs::format(&s, &cpu, &cache, &disk, 8, params).unwrap();
+            let f = fs.create("m").await.unwrap();
+            const BLOCKS: usize = 4;
+            let data = pattern(BLOCKS * BLOCK_SIZE, 6);
+            f.write(0, &data, AccessMode::Copy).await.unwrap();
+            f.fsync().await.unwrap();
+            assert_eq!(
+                cache.resident_of(f.id()),
+                BLOCKS,
+                "written pages stay cached"
+            );
+            let busy0 = cpu.busy();
+            let back = f
+                .read(0, BLOCKS * BLOCK_SIZE, AccessMode::Mapped)
+                .await
+                .unwrap();
+            assert_eq!(back, data);
+            assert_eq!(
+                cpu.busy() - busy0,
+                (costs.page_hit + costs.bmap) * BLOCKS as u64
             );
         });
     }

@@ -353,10 +353,10 @@ impl Ufs {
                             self.inner.cache.set_referenced(id);
                             Ok(id)
                         } else {
-                            Box::pin(self.getpage_traced(ip, lbn, hint_blocks, span)).await
+                            Box::pin(self.getpage_inner(ip, lbn, hint_blocks, span)).await
                         }
                     }
-                    None => Box::pin(self.getpage_traced(ip, lbn, hint_blocks, span)).await,
+                    None => Box::pin(self.getpage_inner(ip, lbn, hint_blocks, span)).await,
                 }
             }
             (None, Some(io)) => self.inner.iopath.finish_read(io, lbn).await,
@@ -518,16 +518,17 @@ impl Ufs {
         let len = buf.len().min((size - off) as usize);
         // Inline files are served from the inode cache (Further Work:
         // "the system could satisfy many requests directly from the inode
-        // instead of the page cache"). mmap cannot use this path.
+        // instead of the page cache"). A mapped access sees the same
+        // bytes, minus the copyout.
         let inline = ip.din.borrow().inline.clone();
         if let Some(data) = inline {
             if mode == AccessMode::Copy {
                 self.charge("copy", costs.copy(len)).await;
-                let end = (off as usize + len).min(data.len());
-                let n = end - off as usize;
-                buf[..n].copy_from_slice(&data[off as usize..end]);
-                return Ok(n);
             }
+            let end = (off as usize + len).min(data.len());
+            let n = end - off as usize;
+            buf[..n].copy_from_slice(&data[off as usize..end]);
+            return Ok(n);
         }
         // Sequential-mode detection for free-behind.
         ip.seq_mode.set(off == ip.last_read_end.get());

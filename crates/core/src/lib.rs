@@ -40,4 +40,6 @@ pub use prefetch::{
 };
 pub use readahead::{ReadAhead, ReadPlan, ReadRun};
 pub use throttle::{WriteThrottle, WriteToken};
-pub use tuning::{Tuning, BLOCK_SIZE, WRITE_LIMIT_BYTES};
+pub use tuning::{
+    Tuning, BLOCK_SIZE, IO_RETRY_BACKOFF_MS, IO_RETRY_MAX, LEN_EDGES, WRITE_LIMIT_BYTES,
+};

@@ -54,6 +54,20 @@ pub const BLOCK_SIZE: u32 = 8192;
 /// The paper's per-file write limit: "currently 240KB".
 pub const WRITE_LIMIT_BYTES: u32 = 240 * 1024;
 
+/// Device-error retries per transfer: every preset's
+/// [`Tuning::io_retry_max`], and what the I/O path runs when a mount does
+/// not tune it.
+pub const IO_RETRY_MAX: u32 = 4;
+
+/// Base backoff between retries, milliseconds (see
+/// [`Tuning::io_retry_backoff_ms`]).
+pub const IO_RETRY_BACKOFF_MS: u32 = 2;
+
+/// Histogram buckets for cluster and extent lengths in blocks; maxcontig
+/// presets are 1, 7 and 15 blocks, so power-of-two buckets up to 64 cover
+/// them.
+pub const LEN_EDGES: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
+
 impl Tuning {
     /// Figure 9 run "A": 120 KB clusters, no rotdelay, SunOS 4.1.1 code,
     /// free-behind and write limits on.
@@ -68,8 +82,8 @@ impl Tuning {
             bmap_cache: false,
             random_cluster_hint: false,
             ufs_hole_opt: false,
-            io_retry_max: 4,
-            io_retry_backoff_ms: 2,
+            io_retry_max: IO_RETRY_MAX,
+            io_retry_backoff_ms: IO_RETRY_BACKOFF_MS,
             prefetch: PrefetchPolicy::Fixed,
         }
     }
@@ -87,8 +101,8 @@ impl Tuning {
             bmap_cache: false,
             random_cluster_hint: false,
             ufs_hole_opt: false,
-            io_retry_max: 4,
-            io_retry_backoff_ms: 2,
+            io_retry_max: IO_RETRY_MAX,
+            io_retry_backoff_ms: IO_RETRY_BACKOFF_MS,
             prefetch: PrefetchPolicy::Fixed,
         }
     }

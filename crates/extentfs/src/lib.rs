@@ -30,19 +30,17 @@
 //! simulated in full, because only the data path is measured.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use clufs::{DelayedWrite, PrefetchPolicy, WriteAction};
+use clufs::{FreeBehindPolicy, PrefetchPolicy};
 use diskmodel::{BlockDeviceExt, SharedDevice};
-use pagecache::{PageCache, PageId, PageKey};
+use pagecache::{PageCache, PageKey};
 use simkit::stats::{Counter, Gauge};
-use simkit::{Cpu, Sim, SpanId};
+use simkit::{Cpu, Sim, SimDuration, SpanId};
 use ufs::CpuCosts;
-use vfs::iopath::{
-    BlockMap, Executed, FileStream, IoCosts, IoIntent, IoPath, ReadReason, ReadRuns, WriteCluster,
-    WriteReason,
-};
+use vfs::frontend::{Backing, Costs, Event, FrontEnd, Probe};
+use vfs::iopath::{BlockMap, FileStream};
 use vfs::{AccessMode, FileSystem, FsError, FsResult, StreamId, Vnode, VnodeId};
 
 pub mod alloc;
@@ -106,13 +104,6 @@ struct ExtInode {
     data: FileData,
 }
 
-struct OpenState {
-    dw: RefCell<DelayedWrite>,
-    /// Stream identity + pending-write quiesce (extentfs has no write
-    /// limit, so the stream's throttle is unlimited).
-    io: Rc<FileStream>,
-}
-
 /// Running fragmentation totals behind the registry gauges.
 #[derive(Default, Clone, Copy)]
 struct FragTotals {
@@ -167,24 +158,23 @@ struct Inner {
     disk: SharedDevice,
     cache: PageCache,
     params: ExtentFsParams,
-    /// Shared I/O executor (the same engine UFS drives).
-    iopath: IoPath,
+    /// The shared vnode front end and I/O executor (the same code UFS
+    /// drives).
+    front: FrontEnd,
     data_start: u64,
     alloc: RefCell<BuddyAllocator>,
     inodes: RefCell<Vec<Option<ExtInode>>>,
-    open: RefCell<HashMap<u32, Rc<OpenState>>>,
+    /// Per-file I/O state (stream identity, delayed writes, pending-write
+    /// quiesce; extentfs has no write limit, so the throttle is
+    /// unlimited), in inode order.
+    open: RefCell<BTreeMap<u32, Rc<FileStream>>>,
     stats: RefCell<ExtentFsStats>,
     frag: FragGauges,
 }
 
-/// [`BlockMap`] view of one extent file: translation is a tree walk, the
-/// transfer cap is the mount's extent unit.
-struct ExtMap<'a> {
-    fs: &'a ExtentFs,
-    ino: u32,
-}
-
-impl BlockMap for ExtMap<'_> {
+/// Translation is a tree walk, the transfer cap is the mount's extent
+/// unit.
+impl BlockMap for ExtFile {
     async fn extent(&self, lbn: u64, cap: u32) -> FsResult<Option<(u32, u32)>> {
         Ok(self
             .fs
@@ -235,7 +225,7 @@ pub struct ExtentFs {
 pub struct ExtFile {
     fs: ExtentFs,
     ino: u32,
-    state: Rc<OpenState>,
+    state: Rc<FileStream>,
 }
 
 impl ExtentFs {
@@ -265,17 +255,23 @@ impl ExtentFs {
             return Err(FsError::Invalid);
         }
         let data_blocks = total_blocks - data_start;
-        let iopath = IoPath::new(
+        // The same front end as UFS, differing only in values: no putpage
+        // traversal, no fault on a partial-block overwrite, no free-behind
+        // and no request-size hint.
+        let front = FrontEnd::new(
             sim,
             cpu,
             disk,
             cache,
-            IoCosts {
-                io_setup: params.costs.io_setup,
-                io_intr: params.costs.io_intr,
+            Costs {
+                putpage: SimDuration::ZERO,
+                rmw_fault: SimDuration::ZERO,
+                ..params.costs.front_end()
             },
+            FreeBehindPolicy::sunos_411(false),
+            false,
         );
-        iopath.set_prefetch(
+        front.io().set_prefetch(
             if params.readahead {
                 params.prefetch
             } else {
@@ -290,11 +286,11 @@ impl ExtentFs {
                 disk: disk.clone(),
                 cache: cache.clone(),
                 params,
-                iopath,
+                front,
                 data_start,
                 alloc: RefCell::new(BuddyAllocator::new(data_blocks)),
                 inodes: RefCell::new((0..ninodes).map(|_| None).collect()),
-                open: RefCell::new(HashMap::new()),
+                open: RefCell::new(BTreeMap::new()),
                 stats: RefCell::new(ExtentFsStats::default()),
                 frag: FragGauges::new(sim),
             }),
@@ -423,193 +419,16 @@ impl ExtentFs {
         }
     }
 
-    fn open_state(&self, ino: u32) -> Rc<OpenState> {
+    /// The open file for `ino`, sharing its per-file I/O state.
+    fn file(&self, ino: u32) -> ExtFile {
         let mut open = self.inner.open.borrow_mut();
-        Rc::clone(open.entry(ino).or_insert_with(|| {
-            Rc::new(OpenState {
-                dw: RefCell::new(DelayedWrite::new()),
-                io: FileStream::new(&self.inner.sim, self.vid(ino), None),
-            })
-        }))
-    }
-
-    /// Reads the I/O unit containing `lbn` into the cache (plus read-ahead
-    /// of the next unit) and returns the page.
-    async fn getpage(
-        &self,
-        f: &ExtFile,
-        lbn: u64,
-        eof_blocks: u64,
-        parent: SpanId,
-    ) -> FsResult<PageId> {
-        let tracer = self.inner.sim.tracer();
-        let span = tracer.start("fs.getpage", f.state.io.id().as_u32(), parent);
-        tracer.arg(span, "lbn", lbn);
-        let r = self.getpage_inner(f, lbn, eof_blocks, span).await;
-        self.inner.sim.tracer().end(span);
-        r
-    }
-
-    async fn getpage_inner(
-        &self,
-        f: &ExtFile,
-        lbn: u64,
-        eof_blocks: u64,
-        span: SpanId,
-    ) -> FsResult<PageId> {
-        let costs = self.inner.params.costs;
-        let key = PageKey {
-            vnode: self.vid(f.ino),
-            offset: lbn * BLOCK_SIZE as u64,
-        };
-        let cached = self
-            .inner
-            .cache
-            .lookup_traced(key, f.state.io.id().as_u32(), span);
-        if cached.is_some() {
-            self.inner.iopath.take_ra_pending(key);
-        }
-        self.charge(
-            "fault",
-            if cached.is_some() {
-                costs.page_hit
-            } else {
-                costs.fault
-            },
-        )
-        .await;
-        self.charge("bmap", costs.bmap).await;
-        let unit = self.inner.params.extent_blocks;
-        if self.translate(f.ino, lbn).is_none() {
-            return Err(FsError::Corrupt);
-        }
-        // The unit containing `lbn` may be physically fragmented on an
-        // aged volume; the batched intent below still moves it in one
-        // setup, so availability is clipped by the unit and EOF only.
-        let avail = |probe: u64| -> u32 {
-            if probe >= eof_blocks || self.translate(f.ino, probe).is_none() {
-                0
-            } else {
-                (eof_blocks - probe).min(unit as u64) as u32
-            }
-        };
-        // Extent lookups are synchronous here, so the plan commits in one
-        // call (no lazy-probe dry run as in UFS).
-        let plan =
-            self.inner
-                .iopath
-                .prefetch_commit(f.state.io.id(), lbn, cached.is_some(), avail, 0);
-        let map = ExtMap {
-            fs: self,
-            ino: f.ino,
-        };
-        let mut sync_io = None;
-        if cached.is_none() {
-            let run = plan.sync.expect("uncached read plans I/O");
-            debug_assert_eq!(run.lbn, lbn);
-            let intent = IoIntent::ReadRuns(ReadRuns {
-                lbn: run.lbn,
-                len: run.blocks,
-                reason: ReadReason::Demand,
-                sieve: None,
-            });
-            let io = match self
-                .inner
-                .iopath
-                .execute_traced(&f.state.io, &map, intent, span)
-                .await?
-            {
-                Executed::BatchIssued(io) => io,
-                _ => unreachable!("demand reads are issued"),
-            };
-            {
-                let mut st = self.inner.stats.borrow_mut();
-                st.unit_reads += 1;
-                st.blocks_read += io.blocks() as u64;
-            }
-            sync_io = Some(io);
-        }
-        for run in &plan.runs {
-            // Sieving runs already chose their span; exact runs are
-            // re-clipped by EOF/mapping availability.
-            let n = if run.sieve.is_some() {
-                run.blocks
-            } else {
-                run.blocks.min(avail(run.lbn))
-            };
-            if n > 0 {
-                let intent = IoIntent::ReadRuns(ReadRuns {
-                    lbn: run.lbn,
-                    len: n,
-                    reason: ReadReason::Readahead,
-                    sieve: run.sieve,
-                });
-                if let Executed::ReadaheadIssued { blocks } =
-                    self.inner.iopath.execute(&f.state.io, &map, intent).await?
-                {
-                    let mut st = self.inner.stats.borrow_mut();
-                    st.unit_reads += 1;
-                    st.blocks_read += blocks as u64;
-                }
-            }
-        }
-        match (cached, sync_io) {
-            (Some(id), _) => {
-                // The page was cached when we looked, but the CPU charges
-                // and read-ahead planning above are awaits, during which
-                // the pageout daemon may have evicted and recycled it.
-                // Re-resolve; if it vanished, retry the whole getpage —
-                // the classic pagein retry loop.
-                let current = if self.inner.cache.is_current(id) {
-                    Some(id)
-                } else {
-                    self.inner.cache.lookup(key)
-                };
-                match current {
-                    Some(id) => {
-                        self.inner.cache.wait_unbusy(id).await;
-                        if self.inner.cache.is_current(id) {
-                            self.inner.cache.set_referenced(id);
-                            Ok(id)
-                        } else {
-                            Box::pin(self.getpage_inner(f, lbn, eof_blocks, span)).await
-                        }
-                    }
-                    None => Box::pin(self.getpage_inner(f, lbn, eof_blocks, span)).await,
-                }
-            }
-            (None, Some(io)) => self.inner.iopath.finish_batch(io, lbn).await,
-            (None, None) => unreachable!(),
-        }
-    }
-
-    /// Pushes the dirty pages of `[range)` through the shared executor,
-    /// one extent-contiguous unit at a time.
-    async fn flush_range(
-        &self,
-        f: &ExtFile,
-        range: std::ops::Range<u64>,
-        reason: WriteReason,
-    ) -> FsResult<()> {
-        let map = ExtMap {
-            fs: self,
-            ino: f.ino,
-        };
-        let intent = IoIntent::WriteCluster(WriteCluster {
-            range,
-            reason,
-            free_behind: false,
-        });
-        match self.inner.iopath.execute(&f.state.io, &map, intent).await? {
-            Executed::Wrote { cluster_blocks } => {
-                let mut st = self.inner.stats.borrow_mut();
-                for n in cluster_blocks {
-                    st.unit_writes += 1;
-                    st.blocks_written += n as u64;
-                }
-                Ok(())
-            }
-            _ => unreachable!("write sweeps resolve to Wrote"),
+        let state = open
+            .entry(ino)
+            .or_insert_with(|| FileStream::new(&self.inner.sim, self.vid(ino), None));
+        ExtFile {
+            fs: self.clone(),
+            ino,
+            state: Rc::clone(state),
         }
     }
 
@@ -677,57 +496,19 @@ impl Vnode for ExtFile {
     }
 
     fn stream(&self) -> StreamId {
-        self.state.io.id()
+        self.state.id()
     }
 
     async fn read_into(&self, off: u64, buf: &mut [u8], mode: AccessMode) -> FsResult<usize> {
-        // One root span per request, same shape as UFS (`fs.read`), so the
-        // trace analyzer treats both mounts identically.
-        let tracer = self.fs.inner.sim.tracer();
-        let span = tracer.start("fs.read", self.state.io.id().as_u32(), SpanId::NONE);
-        tracer.arg(span, "off", off);
-        tracer.arg(span, "bytes", buf.len() as u64);
-        let r = self.read_into_inner(off, buf, mode, span).await;
-        self.fs.inner.sim.tracer().end(span);
-        r
+        self.fs.inner.front.read(self, off, buf, mode).await
     }
 
     async fn write(&self, off: u64, data: &[u8], mode: AccessMode) -> FsResult<()> {
-        let tracer = self.fs.inner.sim.tracer();
-        let span = tracer.start("fs.write", self.state.io.id().as_u32(), SpanId::NONE);
-        tracer.arg(span, "off", off);
-        tracer.arg(span, "bytes", data.len() as u64);
-        let r = self.write_inner(off, data, mode, span).await;
-        self.fs.inner.sim.tracer().end(span);
-        r
+        self.fs.inner.front.write(self, off, data, mode).await
     }
 
     async fn fsync(&self) -> FsResult<()> {
-        let pending = self.state.dw.borrow_mut().flush();
-        if let Some(r) = pending {
-            self.fs.flush_range(self, r, WriteReason::Fsync).await?;
-        }
-        // Sweep each run of adjacent dirty pages, as UFS does: one sweep
-        // from the first to the last would look up (and so reference and
-        // reclaim) every clean page in between.
-        let offsets = self.fs.inner.cache.dirty_offsets(self.id());
-        let mut pages = offsets.iter().map(|o| o / BLOCK_SIZE as u64).peekable();
-        while let Some(start) = pages.next() {
-            let mut end = start + 1;
-            while pages.next_if_eq(&end).is_some() {
-                end += 1;
-            }
-            self.fs
-                .flush_range(self, start..end, WriteReason::Fsync)
-                .await?;
-        }
-        self.state.io.quiesce().await;
-        // Deferred writes fail with no caller to tell; the sticky stream
-        // error makes this fsync the one that reports the loss.
-        if self.state.io.take_io_error() {
-            return Err(FsError::Io);
-        }
-        Ok(())
+        self.fs.inner.front.fsync_data(self).await
     }
 
     async fn truncate(&self, size: u64) -> FsResult<()> {
@@ -753,84 +534,81 @@ impl ExtFile {
                 .collect(),
         })
     }
+}
 
-    /// Reads the inline buffer, if this file is inline.
-    fn inline_read(&self, off: u64, buf: &mut [u8]) -> Option<usize> {
+impl Backing for ExtFile {
+    fn io(&self) -> &Rc<FileStream> {
+        &self.state
+    }
+
+    fn eof(&self) -> u64 {
+        Vnode::size(self)
+    }
+
+    fn wrote_to(&self, end: u64) {
+        if let Some(inode) = self.fs.inner.inodes.borrow_mut()[self.ino as usize].as_mut() {
+            inode.size = inode.size.max(end);
+        }
+    }
+
+    /// Inode-resident data: no page cache, no disk — just the copy.
+    fn read_inline(&self, off: u64, buf: &mut [u8]) -> Option<usize> {
         let inodes = self.fs.inner.inodes.borrow();
         let inode = inodes[self.ino as usize].as_ref()?;
         let FileData::Inline(bytes) = &inode.data else {
             return None;
         };
-        if off >= bytes.len() as u64 {
-            return Some(0);
-        }
-        let n = buf.len().min(bytes.len() - off as usize);
-        buf[..n].copy_from_slice(&bytes[off as usize..off as usize + n]);
+        let start = (off as usize).min(bytes.len());
+        let n = buf.len().min(bytes.len() - start);
+        buf[..n].copy_from_slice(&bytes[start..start + n]);
         Some(n)
     }
 
-    async fn read_into_inner(
+    /// An extent file system's bmap is a tree walk over in-core records —
+    /// that is its CPU advantage: one base bmap charge per fault, and the
+    /// planning probes after it are free. There are no holes, so an
+    /// unmapped block below EOF is corruption.
+    async fn fault_probe(
         &self,
-        off: u64,
-        buf: &mut [u8],
-        mode: AccessMode,
-        span: SpanId,
-    ) -> FsResult<usize> {
+        lbn: u64,
+        eof_blocks: u64,
+        _cached: bool,
+    ) -> FsResult<Option<Probe>> {
         let costs = self.fs.inner.params.costs;
-        // mmap access is a pure fault path: no syscall, no kernel
-        // map/unmap, no copyout (the paper's Figure 12 mode).
-        if mode == AccessMode::Copy {
-            self.fs.charge("syscall", costs.syscall).await;
+        self.fs.charge("bmap", costs.bmap).await;
+        if self.fs.translate(self.ino, lbn).is_none() {
+            return Err(FsError::Corrupt);
         }
-        if let Some(n) = self.inline_read(off, buf) {
-            // Inode-resident data: no page cache, no disk — just the copy.
-            if mode == AccessMode::Copy && n > 0 {
-                self.fs.charge("copy", costs.copy(n)).await;
-            }
-            return Ok(n);
-        }
-        let size = self.size();
-        if off >= size {
-            return Ok(0);
-        }
-        let len = buf.len().min((size - off) as usize);
-        let eof_blocks = size.div_ceil(BLOCK_SIZE as u64);
-        let mut pos = off;
-        let mut dst = 0usize;
-        let end = off + len as u64;
-        while pos < end {
-            let lbn = pos / BLOCK_SIZE as u64;
-            let in_page = (pos % BLOCK_SIZE as u64) as usize;
-            let n = ((BLOCK_SIZE - in_page) as u64).min(end - pos) as usize;
-            let pid = self.fs.getpage(self, lbn, eof_blocks, span).await?;
-            if mode == AccessMode::Copy {
-                self.fs.charge("map_unmap", costs.map_unmap).await;
-                self.fs.charge("copy", costs.copy(n)).await;
-            }
-            self.fs
-                .inner
-                .cache
-                .read_at(pid, in_page, &mut buf[dst..dst + n]);
-            pos += n as u64;
-            dst += n;
-        }
-        Ok(len)
+        self.probe(lbn, eof_blocks).await.map(Some)
     }
 
-    async fn write_inner(
+    /// The unit containing `lbn` may be physically fragmented on an aged
+    /// volume; the batched read still moves it in one setup, so
+    /// availability is clipped by the unit and EOF only — and the probe
+    /// offers no address, so reads resolve a run-list at issue time.
+    async fn probe(&self, lbn: u64, eof_blocks: u64) -> FsResult<Probe> {
+        let mapped = lbn < eof_blocks && self.fs.translate(self.ino, lbn).is_some();
+        let unit = self.max_cluster() as u64;
+        Ok(Probe {
+            blocks: if mapped {
+                (eof_blocks - lbn).min(unit) as u32
+            } else {
+                0
+            },
+            pbn: None,
+        })
+    }
+
+    /// Inline fast path / spill decision.
+    async fn route_write(
         &self,
+        front: &FrontEnd,
         off: u64,
         data: &[u8],
         mode: AccessMode,
         span: SpanId,
     ) -> FsResult<()> {
-        let costs = self.fs.inner.params.costs;
-        self.fs.charge("syscall", costs.syscall).await;
-        if data.is_empty() {
-            return Ok(());
-        }
         let end = off + data.len() as u64;
-        // Inline fast path / spill decision.
         enum Route {
             Inline,
             Spill(Vec<u8>),
@@ -842,15 +620,19 @@ impl ExtFile {
                 .as_mut()
                 .ok_or(FsError::NotFound)?;
             match &mut inode.data {
+                FileData::Inline(buf) if end as usize > self.fs.inner.params.inline_max => {
+                    // Spill: the file outgrew the inode record. One-way.
+                    let old = std::mem::take(buf);
+                    inode.data = FileData::Extents(ExtentTree::new());
+                    Route::Spill(old)
+                }
                 FileData::Inline(buf) => {
-                    if end as usize <= self.fs.inner.params.inline_max {
-                        Route::Inline
-                    } else {
-                        // Spill: the file outgrew the inode record. One-way.
-                        let old = std::mem::take(buf);
-                        inode.data = FileData::Extents(ExtentTree::new());
-                        Route::Spill(old)
+                    if buf.len() < end as usize {
+                        buf.resize(end as usize, 0);
                     }
+                    buf[off as usize..end as usize].copy_from_slice(data);
+                    inode.size = inode.size.max(end);
+                    Route::Inline
                 }
                 FileData::Extents(_) => Route::Extents,
             }
@@ -858,21 +640,10 @@ impl ExtFile {
         match route {
             Route::Inline => {
                 if mode == AccessMode::Copy {
+                    let costs = self.fs.inner.params.costs;
                     self.fs.charge("copy", costs.copy(data.len())).await;
                 }
-                let mut inodes = self.fs.inner.inodes.borrow_mut();
-                let inode = inodes[self.ino as usize]
-                    .as_mut()
-                    .ok_or(FsError::NotFound)?;
-                let FileData::Inline(buf) = &mut inode.data else {
-                    return Err(FsError::Corrupt);
-                };
-                if buf.len() < end as usize {
-                    buf.resize(end as usize, 0);
-                }
-                buf[off as usize..end as usize].copy_from_slice(data);
-                inode.size = inode.size.max(end);
-                Ok(())
+                return Ok(());
             }
             Route::Spill(old) => {
                 self.fs.inner.frag.update(|f| {
@@ -880,135 +651,64 @@ impl ExtFile {
                     f.extent_files += 1;
                 });
                 if !old.is_empty() {
-                    self.extent_write(0, &old, AccessMode::Copy, span).await?;
+                    front
+                        .write_blocks(self, 0, &old, AccessMode::Copy, span)
+                        .await?;
                 }
-                self.extent_write(off, data, mode, span).await
             }
-            Route::Extents => self.extent_write(off, data, mode, span).await,
+            Route::Extents => {}
         }
+        front.write_blocks(self, off, data, mode, span).await
     }
 
-    async fn extent_write(
-        &self,
-        off: u64,
-        data: &[u8],
-        mode: AccessMode,
-        span: SpanId,
-    ) -> FsResult<()> {
-        let costs = self.fs.inner.params.costs;
-        let end = off + data.len() as u64;
+    /// Preallocates extents to cover the write. Extent file systems have
+    /// no holes: a write past EOF must zero-fill the gap blocks, or reads
+    /// would expose whatever the recycled disk blocks last held. (UFS
+    /// avoids this cost with real holes — one of the paper's points in its
+    /// favor.)
+    async fn prepare_write(&self, off: u64, end: u64, span: SpanId) -> FsResult<()> {
         self.fs
             .ensure_allocated(self.ino, end.div_ceil(BLOCK_SIZE as u64))?;
-        let old_size = self.size();
-        let old_blocks = old_size.div_ceil(BLOCK_SIZE as u64);
-        // Extent file systems have no holes: a write past EOF must
-        // zero-fill the gap blocks, or reads would expose whatever the
-        // recycled disk blocks last held. (UFS avoids this cost with real
-        // holes — one of the paper's points in its favor.)
-        if off > old_size {
-            let first_gap = old_size.div_ceil(BLOCK_SIZE as u64);
-            let gap_end = off / BLOCK_SIZE as u64; // Write loop covers off's own block.
-            for lbn in first_gap..gap_end {
-                let key = PageKey {
-                    vnode: self.id(),
-                    offset: lbn * BLOCK_SIZE as u64,
-                };
-                let pid = match self.fs.inner.cache.lookup(key) {
-                    Some(pid) => {
-                        self.fs.inner.cache.wait_unbusy(pid).await;
-                        self.fs.inner.cache.write_at(pid, 0, &[0u8; BLOCK_SIZE]);
-                        pid
-                    }
-                    None => {
-                        let pid = self
-                            .fs
-                            .inner
-                            .cache
-                            .create_traced(key, self.state.io.id().as_u32(), span)
-                            .await;
-                        self.fs.inner.cache.unbusy(pid); // Created zeroed.
-                        pid
-                    }
-                };
-                self.fs.inner.cache.mark_dirty(pid);
+        let (cache, front) = (&self.fs.inner.cache, &self.fs.inner.front);
+        let first_gap = self.eof().div_ceil(BLOCK_SIZE as u64);
+        let gap_end = off / BLOCK_SIZE as u64; // The write loop covers off's own block.
+        for lbn in first_gap..gap_end {
+            let (pid, created) = front.find_or_create(&self.state, lbn, span).await;
+            if created {
+                cache.unbusy(pid); // Created zeroed.
+            } else {
+                cache.write_at(pid, 0, &[0u8; BLOCK_SIZE]);
             }
-        }
-        let mut pos = off;
-        let mut src = 0usize;
-        while pos < end {
-            let lbn = pos / BLOCK_SIZE as u64;
-            let in_page = (pos % BLOCK_SIZE as u64) as usize;
-            let n = ((BLOCK_SIZE - in_page) as u64).min(end - pos) as usize;
-            self.fs.charge("bmap", costs.bmap).await;
-            let key = PageKey {
-                vnode: self.id(),
-                offset: lbn * BLOCK_SIZE as u64,
-            };
-            let full = in_page == 0 && n == BLOCK_SIZE;
-            let pid = match self.fs.inner.cache.lookup(key) {
-                Some(pid) => {
-                    self.fs.inner.cache.wait_unbusy(pid).await;
-                    pid
-                }
-                None => {
-                    let pid = self
-                        .fs
-                        .inner
-                        .cache
-                        .create_traced(key, self.state.io.id().as_u32(), span)
-                        .await;
-                    if !full && lbn < old_blocks {
-                        // Read-modify-write of an existing partial block.
-                        let (pbn, _) = self.fs.translate(self.ino, lbn).ok_or(FsError::Corrupt)?;
-                        self.fs.charge("io_setup", costs.io_setup).await;
-                        let old = self
-                            .fs
-                            .inner
-                            .disk
-                            .read(pbn as u64 * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK)
-                            .await;
-                        self.fs.charge("io_intr", costs.io_intr).await;
-                        self.fs.inner.cache.write_at(pid, 0, &old);
-                    }
-                    self.fs.inner.cache.unbusy(pid);
-                    pid
-                }
-            };
-            self.fs.charge("map_unmap", costs.map_unmap).await;
-            if mode == AccessMode::Copy {
-                self.fs.charge("copy", costs.copy(n)).await;
-            }
-            self.fs
-                .inner
-                .cache
-                .write_at(pid, in_page, &data[src..src + n]);
-            self.fs.inner.cache.mark_dirty(pid);
-            {
-                let mut inodes = self.fs.inner.inodes.borrow_mut();
-                let inode = inodes[self.ino as usize]
-                    .as_mut()
-                    .ok_or(FsError::NotFound)?;
-                if pos + n as u64 > inode.size {
-                    inode.size = pos + n as u64;
-                }
-            }
-            let action = self
-                .state
-                .dw
-                .borrow_mut()
-                .on_putpage(lbn, self.fs.inner.params.extent_blocks);
-            match action {
-                WriteAction::Delay => {}
-                WriteAction::Push(r) | WriteAction::PushThenDelay(r) => {
-                    self.fs.flush_range(self, r, WriteReason::Flush).await?;
-                }
-            }
-            pos += n as u64;
-            src += n;
+            cache.mark_dirty(pid);
         }
         Ok(())
     }
 
+    async fn map_write(&self, lbn: u64) -> FsResult<(u32, bool)> {
+        self.fs
+            .charge("bmap", self.fs.inner.params.costs.bmap)
+            .await;
+        let (pbn, _) = self.fs.translate(self.ino, lbn).ok_or(FsError::Corrupt)?;
+        Ok((pbn, false))
+    }
+
+    fn count(&self, ev: Event) {
+        let mut st = self.fs.inner.stats.borrow_mut();
+        match ev {
+            Event::DemandRead(n) | Event::Readahead(n) => {
+                st.unit_reads += 1;
+                st.blocks_read += n;
+            }
+            Event::ClusterWrite(n) => {
+                st.unit_writes += 1;
+                st.blocks_written += n;
+            }
+            Event::Getpage { .. } | Event::FreeBehind => {}
+        }
+    }
+}
+
+impl ExtFile {
     async fn truncate_impl(&self, size: u64) -> FsResult<()> {
         self.fsync().await?;
         let keep_blocks = size.div_ceil(BLOCK_SIZE as u64);
@@ -1091,11 +791,7 @@ impl FileSystem for ExtentFs {
             return Err(FsError::Invalid);
         }
         if let Some(ino) = self.find(name) {
-            let f = ExtFile {
-                fs: self.clone(),
-                ino,
-                state: self.open_state(ino),
-            };
+            let f = self.file(ino);
             f.truncate(0).await?;
             return Ok(f);
         }
@@ -1113,32 +809,19 @@ impl FileSystem for ExtentFs {
             slot as u32
         };
         self.inner.frag.update(|f| f.inline_files += 1);
-        Ok(ExtFile {
-            fs: self.clone(),
-            ino: slot,
-            state: self.open_state(slot),
-        })
+        Ok(self.file(slot))
     }
 
     async fn open(&self, path: &str) -> FsResult<ExtFile> {
         let name = path.trim_start_matches('/');
         let ino = self.find(name).ok_or(FsError::NotFound)?;
-        Ok(ExtFile {
-            fs: self.clone(),
-            ino,
-            state: self.open_state(ino),
-        })
+        Ok(self.file(ino))
     }
 
     async fn remove(&self, path: &str) -> FsResult<()> {
         let name = path.trim_start_matches('/');
         let ino = self.find(name).ok_or(FsError::NotFound)?;
-        let f = ExtFile {
-            fs: self.clone(),
-            ino,
-            state: self.open_state(ino),
-        };
-        f.truncate(0).await?;
+        self.file(ino).truncate(0).await?;
         self.inner.cache.invalidate_vnode(self.vid(ino), 0);
         let was_inline = {
             let mut inodes = self.inner.inodes.borrow_mut();
@@ -1157,14 +840,11 @@ impl FileSystem for ExtentFs {
     }
 
     async fn sync(&self) -> FsResult<()> {
+        // In inode order: the disk queue must see the same sequence on
+        // every run.
         let inos: Vec<u32> = self.inner.open.borrow().keys().copied().collect();
         for ino in inos {
-            let f = ExtFile {
-                fs: self.clone(),
-                ino,
-                state: self.open_state(ino),
-            };
-            f.fsync().await?;
+            self.file(ino).fsync().await?;
         }
         Ok(())
     }

@@ -84,10 +84,23 @@ impl CpuCosts {
 
     /// Copy charge for `bytes` of copyin/copyout.
     pub fn copy(&self, bytes: usize) -> SimDuration {
-        if self.copy_bytes_per_sec.is_infinite() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs_f64(bytes as f64 / self.copy_bytes_per_sec)
+        vfs::frontend::copy_time(self.copy_bytes_per_sec, bytes)
+    }
+
+    /// The entries the shared vnode front end and its I/O executor charge.
+    pub fn front_end(&self) -> vfs::frontend::Costs {
+        vfs::frontend::Costs {
+            syscall: self.syscall,
+            fault: self.fault,
+            page_hit: self.page_hit,
+            rmw_fault: self.fault,
+            map_unmap: self.map_unmap,
+            putpage: self.putpage,
+            copy_bytes_per_sec: self.copy_bytes_per_sec,
+            io: vfs::iopath::IoCosts {
+                io_setup: self.io_setup,
+                io_intr: self.io_intr,
+            },
         }
     }
 }

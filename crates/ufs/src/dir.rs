@@ -9,7 +9,7 @@
 
 use std::rc::Rc;
 
-use vfs::{FsError, FsResult};
+use vfs::{FsError, FsResult, Vnode};
 
 use crate::fs::{Incore, Ufs};
 use crate::layout::{FileKind, BLOCK_SIZE, NAME_MAX, ROOT_INO};
@@ -232,7 +232,8 @@ impl Ufs {
         self.inner.inodes.borrow_mut().insert(ino, Rc::clone(&ip));
         if target.len() > crate::layout::INLINE_MAX {
             // Long target: store it in the file body.
-            self.rdwr_write(&ip, 0, target.as_bytes(), vfs::AccessMode::Copy)
+            self.file(&ip)
+                .write(0, target.as_bytes(), vfs::AccessMode::Copy)
                 .await?;
             ip.din.borrow_mut().size = target.len() as u64;
             self.fsync_inode(&ip).await?;
@@ -257,7 +258,8 @@ impl Ufs {
                 let size = ip.din.borrow().size as usize;
                 let mut buf = vec![0u8; size];
                 let n = self
-                    .rdwr_read(&ip, 0, &mut buf, vfs::AccessMode::Copy)
+                    .file(&ip)
+                    .read_into(0, &mut buf, vfs::AccessMode::Copy)
                     .await?;
                 buf.truncate(n);
                 buf

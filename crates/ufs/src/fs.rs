@@ -5,12 +5,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use clufs::{BmapCache, DelayedWrite, FreeBehindPolicy, PrefetchPolicy, Tuning};
+use clufs::{BmapCache, FreeBehindPolicy, PrefetchPolicy, Tuning, LEN_EDGES};
 use diskmodel::{BlockDeviceExt, DiskOp, DiskRequest, SharedDevice};
 use pagecache::{CleanRequest, PageCache, VnodeId};
 use simkit::stats::{Counter, Histogram};
 use simkit::{Cpu, Notify, Receiver, Sim, SimDuration};
-use vfs::iopath::{FileStream, IoCosts, IoPath};
+use vfs::frontend::FrontEnd;
+use vfs::iopath::FileStream;
 use vfs::{FsError, FsResult};
 
 use crate::costs::CpuCosts;
@@ -126,10 +127,6 @@ pub(crate) struct UfsMetrics {
 }
 
 impl UfsMetrics {
-    /// Cluster and extent lengths in blocks; maxcontig presets are 1, 7
-    /// and 15 blocks, so power-of-two buckets up to 64 cover them.
-    const LEN_EDGES: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
-
     fn new(sim: &Sim) -> UfsMetrics {
         let s = sim.stats();
         UfsMetrics {
@@ -145,9 +142,9 @@ impl UfsMetrics {
             cluster_writes: s.counter("ufs.cluster_writes"),
             blocks_written: s.counter("ufs.blocks_written"),
             free_behind_pages: s.counter("ufs.free_behind_pages"),
-            cluster_read_blocks: s.histogram("core.cluster_read_blocks", &Self::LEN_EDGES),
-            cluster_write_blocks: s.histogram("core.cluster_write_blocks", &Self::LEN_EDGES),
-            extent_len_blocks: s.histogram("ufs.extent_len_blocks", &Self::LEN_EDGES),
+            cluster_read_blocks: s.histogram("core.cluster_read_blocks", &LEN_EDGES),
+            cluster_write_blocks: s.histogram("core.cluster_write_blocks", &LEN_EDGES),
+            extent_len_blocks: s.histogram("ufs.extent_len_blocks", &LEN_EDGES),
         }
     }
 }
@@ -160,20 +157,15 @@ pub struct Incore {
     pub din: RefCell<Dinode>,
     /// Needs writing back.
     pub dirty: Cell<bool>,
-    /// Delayed-write accumulator (`delayoff`/`delaylen`), in page units.
-    pub dw: RefCell<DelayedWrite>,
-    /// Per-open-file I/O identity: the stream label every request this
-    /// file issues carries, the paper's write throttle, and the
-    /// pending-write count used to quiesce before truncate/remove.
+    /// Per-open-file I/O state: the stream label every request this file
+    /// issues carries, the paper's write throttle and delayed-write
+    /// accumulator, the sequential-read detector, and the pending-write
+    /// count used to quiesce before truncate/remove.
     pub io: Rc<FileStream>,
     /// Further Work extent-tuple cache.
     pub bmap_cache: RefCell<BmapCache>,
     /// Conservative "may have holes" flag for the UFS_HOLE optimization.
     pub may_have_holes: Cell<bool>,
-    /// End offset of the last read, for sequential-mode detection in rdwr.
-    pub last_read_end: Cell<u64>,
-    /// Whether rdwr currently sees a sequential read pattern.
-    pub seq_mode: Cell<bool>,
     /// Blocks allocated in the current cylinder group since the last
     /// allocator move (for `maxbpg`).
     pub alloc_run: Cell<u32>,
@@ -193,12 +185,9 @@ impl Incore {
             ino,
             din: RefCell::new(din),
             dirty: Cell::new(false),
-            dw: RefCell::new(DelayedWrite::new()),
             io: FileStream::new(sim, vid, tuning.write_limit),
             bmap_cache: RefCell::new(BmapCache::new(8)),
             may_have_holes: Cell::new(true),
-            last_read_end: Cell::new(0),
-            seq_mode: Cell::new(false),
             alloc_run: Cell::new(0),
             alloc_cg: Cell::new(u32::MAX),
         })
@@ -222,9 +211,9 @@ pub(crate) struct UfsInner {
     pub(crate) inodes: RefCell<HashMap<u32, Rc<Incore>>>,
     pub(crate) stats: RefCell<UfsStats>,
     pub(crate) metrics: UfsMetrics,
-    /// Shared I/O executor: resolves `IoIntent`s against the cache and
-    /// disk, and tracks readahead-pending pages for prefetch accuracy.
-    pub(crate) iopath: IoPath,
+    /// The shared vnode front end (`rdwr`/`getpage`/`putpage`/fsync) and
+    /// the I/O executor under it.
+    pub(crate) front: FrontEnd,
     /// Round-robin start for directory placement.
     pub(crate) next_dir_cg: Cell<u32>,
     /// Outstanding ordered metadata writes (B_ORDER mode).
@@ -279,23 +268,22 @@ impl Ufs {
         }
         sb.clean = false;
         let ncg = sb.ncg as usize;
-        let iopath = IoPath::new(
+        let front = FrontEnd::new(
             sim,
             cpu,
             disk,
             cache,
-            IoCosts {
-                io_setup: params.costs.io_setup,
-                io_intr: params.costs.io_intr,
-            },
+            params.costs.front_end(),
+            params.free_behind,
+            params.tuning.random_cluster_hint,
         );
-        iopath.set_retry(
+        front.io().set_retry(
             params.tuning.io_retry_max,
             params.tuning.io_retry_backoff_ms,
         );
         // The per-stream prefetch engines live in the executor; the
         // `readahead` ablation switch overrides the policy to Off.
-        iopath.set_prefetch(
+        front.io().set_prefetch(
             if params.tuning.readahead {
                 params.tuning.prefetch
             } else {
@@ -319,7 +307,7 @@ impl Ufs {
                 inodes: RefCell::new(HashMap::new()),
                 stats: RefCell::new(UfsStats::default()),
                 metrics: UfsMetrics::new(sim),
-                iopath,
+                front,
                 next_dir_cg: Cell::new(0),
                 pending_meta_io: Cell::new(0),
                 meta_quiesce: Notify::new(),
@@ -390,19 +378,6 @@ impl Ufs {
 
     // ---- raw block I/O ----
 
-    pub(crate) async fn read_block_raw(&self, pbn: u64) -> Vec<u8> {
-        self.charge("io_setup", self.inner.params.costs.io_setup)
-            .await;
-        let data = self
-            .inner
-            .disk
-            .read(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK)
-            .await;
-        self.charge("io_intr", self.inner.params.costs.io_intr)
-            .await;
-        data
-    }
-
     pub(crate) async fn write_block_raw(&self, pbn: u64, data: Vec<u8>) {
         self.charge("io_setup", self.inner.params.costs.io_setup)
             .await;
@@ -422,7 +397,7 @@ impl Ufs {
         match hit {
             Some(b) => b,
             None => {
-                let data = self.read_block_raw(pbn).await;
+                let data = self.inner.front.io().read_block(pbn).await;
                 let cell = Rc::new(RefCell::new(data));
                 self.inner.meta.borrow_mut().insert(pbn, Rc::clone(&cell));
                 cell
@@ -536,8 +511,11 @@ impl Ufs {
     /// Flushes every dirty page, delayed write, inode, metadata block, and
     /// the allocation maps; waits for all I/O to settle.
     pub async fn sync_all(&self) -> FsResult<()> {
-        // 1. Per-inode: flush delayed writes and any remaining dirty pages.
-        let ips: Vec<Rc<Incore>> = self.inner.inodes.borrow().values().cloned().collect();
+        // 1. Per-inode, in inode order (the table is a hash map; the disk
+        // queue must not see its iteration order): flush delayed writes
+        // and any remaining dirty pages.
+        let mut ips: Vec<Rc<Incore>> = self.inner.inodes.borrow().values().cloned().collect();
+        ips.sort_by_key(|ip| ip.ino);
         for ip in &ips {
             self.fsync_inode(ip).await?;
         }
@@ -618,7 +596,7 @@ impl Ufs {
             // Cluster around the victim: the whole delayed run if the
             // victim falls inside it, else just the page run.
             let flush = {
-                let mut dw = ip.dw.borrow_mut();
+                let mut dw = ip.io.delayed().borrow_mut();
                 match dw.pending() {
                     Some(r) if r.contains(&page) => {
                         dw.flush();
@@ -628,7 +606,9 @@ impl Ufs {
                 }
             };
             let _ = self
-                .flush_page_range(&ip, flush, vfs::iopath::WriteReason::Cleaner, true)
+                .inner
+                .front
+                .flush_range(&self.file(&ip), flush, true)
                 .await;
         }
     }

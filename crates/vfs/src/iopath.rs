@@ -4,10 +4,11 @@
 //! read-ahead, delayed-write accumulation, free-behind and write limits
 //! decide *what* to transfer, while the code that creates busy pages,
 //! charges setup/interrupt CPU, talks to the disk and completes pages is
-//! the same in every kernel. This module is that mechanism, factored out
-//! of `ufs::vnops` so both `ufs` and `extentfs` drive one executor:
-//! policy engines emit typed [`IoIntent`] values and [`IoPath::execute`]
-//! resolves them against the page cache and the disk.
+//! the same in every kernel. This module is that mechanism: the vnode
+//! front end ([`crate::frontend`]) decides, and four typed methods here
+//! resolve the decision against the page cache and the disk —
+//! [`IoPath::read_demand`], [`IoPath::readahead`],
+//! [`IoPath::write_clusters`] and [`IoPath::free_behind`].
 //!
 //! Every open file carries a [`FileStream`] whose [`StreamId`] rides each
 //! request end to end — demand-fault cache lookups, cluster issues,
@@ -21,111 +22,43 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::rc::Rc;
 
-use clufs::{PrefetchPlan, PrefetchPolicy, Prefetcher, WriteThrottle};
-use diskmodel::{IoHandle, IoStatus, SharedDevice};
+use clufs::{
+    DelayedWrite, PrefetchPlan, PrefetchPolicy, PrefetchRun, Prefetcher, WriteThrottle,
+    IO_RETRY_BACKOFF_MS, IO_RETRY_MAX, LEN_EDGES,
+};
+use diskmodel::{BlockDeviceExt, IoHandle, IoStatus, SharedDevice};
 use pagecache::{PageCache, PageId, PageKey};
 use simkit::stats::{Counter, Histogram};
 use simkit::{Cpu, Notify, Sim, SimDuration, SpanId};
 
 use crate::{FsError, FsResult, StreamId, VnodeId};
 
-/// Why a cluster read is being issued.
+/// Why a read is being issued.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReadReason {
+enum ReadReason {
     /// A faulting access needs the first block now; the caller waits.
     Demand,
     /// Speculative read-ahead; the executor fills pages asynchronously.
     Readahead,
 }
 
-/// Why dirty pages are being pushed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WriteReason {
-    /// The delayed-write policy decided a cluster is full (putpage push).
-    Flush,
-    /// An explicit fsync is forcing everything out.
-    Fsync,
-    /// The pageout daemon is cleaning under memory pressure.
-    Cleaner,
+/// An in-flight demand read, to be waited out with [`IoPath::finish`].
+pub enum PendingRead {
+    /// One physically contiguous transfer at an address the caller knew.
+    Cluster(ClusterRead),
+    /// A run-list batch resolved through [`BlockMap::runs`]: one setup,
+    /// one transfer per physical run.
+    Batch(BatchRead),
 }
 
-/// A cluster read: `len` blocks starting at logical block `lbn`, backed by
-/// physical block `pbn`. The executor clips the transfer at the first
-/// already-cached page.
-#[derive(Clone, Copy, Debug)]
-pub struct ReadCluster {
-    pub lbn: u64,
-    pub pbn: u32,
-    pub len: u32,
-    pub reason: ReadReason,
-}
-
-/// A batched run-list read: up to `len` logical blocks from `lbn`,
-/// resolved through [`BlockMap::runs`] in one pass. Unlike
-/// [`ReadCluster`], the blocks need not be physically contiguous — the
-/// executor pays one setup for the whole batch and issues one transfer
-/// per physical run, back to back (the list-I/O shape: tree walks and
-/// command builds amortize even on a fragmented file).
-#[derive(Clone, Copy, Debug)]
-pub struct ReadRuns {
-    pub lbn: u64,
-    pub len: u32,
-    pub reason: ReadReason,
-    /// Data-sieving pattern for a speculative batch: `Some((keep,
-    /// period))` marks the block at offset `o` from `lbn` as wanted iff
-    /// `o % period < keep`; the rest is gap filler, read only to keep
-    /// the transfer contiguous and accounted as
-    /// `io.prefetch_wasted_bytes` at issue. `None` = every block is
-    /// wanted. Ignored for demand reads.
-    pub sieve: Option<(u32, u32)>,
-}
-
-/// A writeback sweep over `[range)` of dirty pages, one block-map
-/// contiguous cluster at a time. With `free_behind`, pages are freed once
-/// written (pageout-initiated cleaning).
-#[derive(Clone, Debug)]
-pub struct WriteCluster {
-    pub range: Range<u64>,
-    pub reason: WriteReason,
-    pub free_behind: bool,
-}
-
-/// Release one consumed page behind a sequential reader (the free-behind
-/// policy already decided it should go).
-#[derive(Clone, Copy, Debug)]
-pub struct FreeBehind {
-    pub lbn: u64,
-    pub page: PageId,
-}
-
-/// A typed I/O request emitted by policy code and resolved by
-/// [`IoPath::execute`].
-#[derive(Clone, Debug)]
-pub enum IoIntent {
-    ReadCluster(ReadCluster),
-    ReadRuns(ReadRuns),
-    WriteCluster(WriteCluster),
-    FreeBehind(FreeBehind),
-}
-
-/// What executing an [`IoIntent`] did.
-pub enum Executed {
-    /// A demand read is in flight; wait for it with [`IoPath::finish_read`].
-    ReadIssued(ClusterRead),
-    /// A demand run-list batch is in flight; wait for it with
-    /// [`IoPath::finish_batch`].
-    BatchIssued(BatchRead),
-    /// A read-ahead was issued; `blocks` pages are being filled
-    /// asynchronously by the executor's completion task.
-    ReadaheadIssued { blocks: u32 },
-    /// The first page was already resident; no I/O was started.
-    AlreadyCached,
-    /// The writeback sweep issued one cluster per entry (`blocks` each);
-    /// completions run asynchronously — quiesce via [`FileStream`].
-    Wrote { cluster_blocks: Vec<u32> },
-    /// Whether the free-behind page was actually released (busy or dirty
-    /// pages are left alone).
-    Freed(bool),
+impl PendingRead {
+    /// Number of blocks being read.
+    pub fn blocks(&self) -> u32 {
+        match self {
+            PendingRead::Cluster(io) => io.blocks(),
+            PendingRead::Batch(io) => io.blocks(),
+        }
+    }
 }
 
 /// An issued cluster read: the disk handle plus the busy pages created for
@@ -215,13 +148,18 @@ pub trait BlockMap {
     fn max_cluster(&self) -> u32;
 }
 
-/// Per-open-file I/O identity: the stream label, the paper's per-inode
-/// write throttle, and the in-flight write count used to quiesce before
+/// Per-open-file I/O state: the stream label, the paper's per-inode write
+/// throttle and delayed-write accumulator, the sequential-read detector,
+/// and the in-flight write count used to quiesce before
 /// truncate/remove/fsync completion.
 pub struct FileStream {
     vnode: VnodeId,
     stream: StreamId,
     throttle: WriteThrottle,
+    /// Delayed-write accumulator (`delayoff`/`delaylen`), in page units.
+    delayed: RefCell<DelayedWrite>,
+    /// End offset of the last read, for sequential-mode detection in rdwr.
+    pub(crate) last_read_end: Cell<u64>,
     pending_io: Cell<u32>,
     quiesce: Notify,
     /// Sticky deferred-write failure: asynchronous writeback has no caller
@@ -239,6 +177,8 @@ impl FileStream {
             vnode,
             stream,
             throttle: WriteThrottle::for_stream(sim, write_limit, stream.as_u32()),
+            delayed: RefCell::new(DelayedWrite::new()),
+            last_read_end: Cell::new(0),
             pending_io: Cell::new(0),
             quiesce: Notify::new(),
             io_error: Cell::new(false),
@@ -258,6 +198,13 @@ impl FileStream {
     /// The file's write throttle (the paper's counting semaphore).
     pub fn throttle(&self) -> &WriteThrottle {
         &self.throttle
+    }
+
+    /// The file's delayed-write accumulator. File systems flush or reset
+    /// it when the file's shape changes (truncate, remove, the cleaner);
+    /// only the front end offers pages to it.
+    pub fn delayed(&self) -> &RefCell<DelayedWrite> {
+        &self.delayed
     }
 
     /// Writes currently in flight for this file.
@@ -352,18 +299,12 @@ struct IoPathInner {
     prefetch_unit: Cell<u32>,
     pf: PrefetchMetrics,
     /// Device-error retries before a transfer fails with `FsError::Io`
-    /// (see `Tuning::io_retry_max`).
+    /// (`clufs::IO_RETRY_MAX` unless the mount calls
+    /// [`IoPath::set_retry`]).
     retry_max: Cell<u32>,
     /// Base virtual-time backoff between retries; doubles per attempt.
     retry_backoff: Cell<SimDuration>,
 }
-
-/// Default retry budget when the mount does not call
-/// [`IoPath::set_retry`] (matches `Tuning::io_retry_max`).
-const DEFAULT_RETRY_MAX: u32 = 4;
-
-/// Default base backoff (matches `Tuning::io_retry_backoff_ms`).
-const DEFAULT_RETRY_BACKOFF_MS: u64 = 2;
 
 /// The per-mount I/O executor. Clones share the engine.
 #[derive(Clone)]
@@ -372,9 +313,6 @@ pub struct IoPath {
 }
 
 impl IoPath {
-    /// Cluster-length buckets, matching the file systems' histograms.
-    const LEN_EDGES: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
-
     /// Builds an executor over the mount's devices. The block size is the
     /// cache's page size and must be a whole number of disk sectors.
     pub fn new(
@@ -392,7 +330,7 @@ impl IoPath {
             issued: s.counter("io.prefetch_issued"),
             hits: s.counter("io.prefetch_hits"),
             wasted: s.counter("io.prefetch_wasted_bytes"),
-            distance: s.histogram("io.prefetch_distance", &Self::LEN_EDGES),
+            distance: s.histogram("io.prefetch_distance", &LEN_EDGES),
         };
         let ra_pending: Rc<RefCell<HashSet<PageKey>>> = Rc::new(RefCell::new(HashSet::new()));
         // Wasted-prefetch accounting: a page read ahead but never claimed
@@ -423,8 +361,8 @@ impl IoPath {
                 prefetch_policy: Cell::new(PrefetchPolicy::Fixed),
                 prefetch_unit: Cell::new(1),
                 pf,
-                retry_max: Cell::new(DEFAULT_RETRY_MAX),
-                retry_backoff: Cell::new(SimDuration::from_millis(DEFAULT_RETRY_BACKOFF_MS)),
+                retry_max: Cell::new(IO_RETRY_MAX),
+                retry_backoff: Cell::new(SimDuration::from_millis(IO_RETRY_BACKOFF_MS as u64)),
             }),
         }
     }
@@ -435,6 +373,11 @@ impl IoPath {
     pub fn set_prefetch(&self, policy: PrefetchPolicy, unit_blocks: u32) {
         self.inner.prefetch_policy.set(policy);
         self.inner.prefetch_unit.set(unit_blocks.max(1));
+    }
+
+    /// The prefetch engine this mount's streams run.
+    pub fn prefetch_policy(&self) -> PrefetchPolicy {
+        self.inner.prefetch_policy.get()
     }
 
     /// Dry-runs the stream's prefetch engine for an access to `lbn`
@@ -450,7 +393,7 @@ impl IoPath {
         cluster_len: impl FnMut(u64) -> u32,
         size_hint_blocks: u32,
     ) -> PrefetchPlan {
-        let mut engine = self.engine(stream);
+        let mut engine = self.with_engine(stream, |engine| engine.clone());
         engine.on_access(
             lbn,
             cached,
@@ -475,34 +418,22 @@ impl IoPath {
     ) -> PrefetchPlan {
         let free = self.inner.cache.free_count() as u64;
         let reserve = self.inner.cache.lotsfree() as u64;
-        let mut engines = self.inner.prefetchers.borrow_mut();
-        let engine = engines.entry(stream.as_u32()).or_insert_with(|| {
-            Prefetcher::new(
-                self.inner.prefetch_policy.get(),
-                self.inner.prefetch_unit.get(),
-            )
+        let plan = self.with_engine(stream, |engine| {
+            engine.on_access(lbn, cached, cluster_len, size_hint_blocks, free, reserve)
         });
-        let plan = engine.on_access(lbn, cached, cluster_len, size_hint_blocks, free, reserve);
-        drop(engines);
         if !plan.runs.is_empty() {
             self.inner.pf.distance.observe(plan.distance.max(1) as u64);
         }
         plan
     }
 
-    /// A clone of the stream's engine (creating it on first use).
-    fn engine(&self, stream: StreamId) -> Prefetcher {
-        self.inner
-            .prefetchers
-            .borrow_mut()
-            .entry(stream.as_u32())
-            .or_insert_with(|| {
-                Prefetcher::new(
-                    self.inner.prefetch_policy.get(),
-                    self.inner.prefetch_unit.get(),
-                )
-            })
-            .clone()
+    /// Runs `f` on the stream's engine (creating it on first use).
+    fn with_engine<R>(&self, stream: StreamId, f: impl FnOnce(&mut Prefetcher) -> R) -> R {
+        let inner = &*self.inner;
+        let mut engines = inner.prefetchers.borrow_mut();
+        f(engines.entry(stream.as_u32()).or_insert_with(|| {
+            Prefetcher::new(inner.prefetch_policy.get(), inner.prefetch_unit.get())
+        }))
     }
 
     /// Tunes the bounded-retry policy: up to `max` resubmissions per
@@ -552,19 +483,21 @@ impl IoPath {
                     attempt += 1;
                 }
                 status => {
-                    inner
-                        .sim
-                        .stats()
-                        .counter(if status == IoStatus::DeviceGone {
-                            "io.errors{kind=gone}"
-                        } else {
-                            "io.errors{kind=media}"
-                        })
-                        .inc();
+                    self.count_terminal_error(status);
                     return Err(FsError::Io);
                 }
             }
         }
+    }
+
+    /// Counts a transfer that failed for good under `io.errors{kind=…}`.
+    fn count_terminal_error(&self, status: IoStatus) {
+        let name = if status == IoStatus::DeviceGone {
+            "io.errors{kind=gone}"
+        } else {
+            "io.errors{kind=media}"
+        };
+        self.inner.sim.stats().counter(name).inc();
     }
 
     /// Tears down the busy pages of a failed fill: each page's identity is
@@ -604,12 +537,12 @@ impl IoPath {
                     read_blocks: s.stream_histogram(
                         "iopath.cluster_read_blocks",
                         stream.as_u32(),
-                        &Self::LEN_EDGES,
+                        &LEN_EDGES,
                     ),
                     write_blocks: s.stream_histogram(
                         "iopath.cluster_write_blocks",
                         stream.as_u32(),
-                        &Self::LEN_EDGES,
+                        &LEN_EDGES,
                     ),
                 }
             })
@@ -627,75 +560,159 @@ impl IoPath {
         hit
     }
 
-    /// Resolves one typed intent against the cache and the disk.
-    pub async fn execute(
+    /// Issues the demand read for a fault: `len` blocks from `lbn`, as one
+    /// contiguous transfer at `pbn` when the caller's probe learned the
+    /// address, else as a run-list batch resolved through `map`. The
+    /// transfer's span nests under `parent`. `None` means nothing was left
+    /// to read — the page arrived while the fault was being planned — and
+    /// the caller re-resolves it. Wait the read out with
+    /// [`IoPath::finish`].
+    pub async fn read_demand(
         &self,
         fstream: &Rc<FileStream>,
         map: &impl BlockMap,
-        intent: IoIntent,
-    ) -> FsResult<Executed> {
-        self.execute_traced(fstream, map, intent, SpanId::NONE)
-            .await
+        lbn: u64,
+        len: u32,
+        pbn: Option<u32>,
+        parent: SpanId,
+    ) -> FsResult<Option<PendingRead>> {
+        let reason = ReadReason::Demand;
+        Ok(match pbn {
+            Some(pbn) => self
+                .issue_cluster(fstream, lbn, len, pbn, reason, parent)
+                .await?
+                .map(PendingRead::Cluster),
+            None => self
+                .issue_runs(fstream, map, lbn, len, reason, parent)
+                .await?
+                .map(PendingRead::Batch),
+        })
     }
 
-    /// [`IoPath::execute`], nesting the intent's trace spans under
-    /// `parent`.
+    /// Waits out a demand read, fills and releases its pages, and returns
+    /// the page for `want_lbn`.
+    pub async fn finish(&self, io: PendingRead, want_lbn: u64) -> FsResult<PageId> {
+        match io {
+            PendingRead::Cluster(io) => self.finish_read(io, want_lbn).await,
+            PendingRead::Batch(io) => self.finish_batch(io, want_lbn).await,
+        }
+    }
+
+    /// Issues one speculative run — at `pbn` when known, else through
+    /// `map` — and returns the blocks now being filled asynchronously by
+    /// the executor's completion task (0: the data was already resident).
     ///
-    /// Only a demand read's span is actually parented there: read-ahead
-    /// fills and cluster writebacks complete asynchronously, *after* the
+    /// Read-ahead fills (like cluster writebacks) complete *after* the
     /// faulting operation returns, so their spans are roots — a span must
     /// lie within its parent's interval for the trace to mean anything.
-    pub async fn execute_traced(
+    pub async fn readahead(
         &self,
         fstream: &Rc<FileStream>,
         map: &impl BlockMap,
-        intent: IoIntent,
-        parent: SpanId,
-    ) -> FsResult<Executed> {
-        match intent {
-            IoIntent::ReadCluster(rc) => self.read_cluster(fstream, rc, parent).await,
-            IoIntent::ReadRuns(rr) => self.read_runs(fstream, map, rr, parent).await,
-            IoIntent::WriteCluster(wc) => self.write_clusters(fstream, map, wc).await,
-            IoIntent::FreeBehind(fb) => Ok(Executed::Freed(self.free_page(fb))),
+        run: &PrefetchRun,
+        pbn: Option<u32>,
+    ) -> FsResult<u32> {
+        let (reason, root) = (ReadReason::Readahead, SpanId::NONE);
+        match pbn {
+            Some(pbn) => {
+                let Some(io) = self
+                    .issue_cluster(fstream, run.lbn, run.blocks, pbn, reason, root)
+                    .await?
+                else {
+                    return Ok(0);
+                };
+                let blocks = self.claim_readahead(fstream, run, io.pages.iter());
+                self.spawn_fill(io);
+                Ok(blocks)
+            }
+            None => {
+                let Some(io) = self
+                    .issue_runs(fstream, map, run.lbn, run.blocks, reason, root)
+                    .await?
+                else {
+                    return Ok(0);
+                };
+                let pages = io.parts.iter().flat_map(|p| &p.pages);
+                let blocks = self.claim_readahead(fstream, run, pages);
+                self.spawn_fill_batch(io);
+                Ok(blocks)
+            }
         }
+    }
+
+    /// Books an issued read-ahead and returns its size in blocks: every
+    /// wanted page is claimed for the hit/wasted accounting; sieve gap
+    /// filler (see [`PrefetchRun::sieve`]) is known wasted the moment it
+    /// is issued.
+    fn claim_readahead<'a>(
+        &self,
+        fstream: &FileStream,
+        run: &PrefetchRun,
+        pages: impl Iterator<Item = &'a (u64, PageId)>,
+    ) -> u32 {
+        let inner = &*self.inner;
+        let (mut claimed, mut gap_blocks) = (0u64, 0u64);
+        let mut ra = inner.ra_pending.borrow_mut();
+        for (lbn, _) in pages {
+            let wanted = match run.sieve {
+                Some((keep, period)) if period > 0 => {
+                    ((lbn - run.lbn) % period as u64) < keep as u64
+                }
+                _ => true,
+            };
+            if wanted {
+                ra.insert(self.key(fstream, *lbn));
+                claimed += 1;
+            } else {
+                gap_blocks += 1;
+            }
+        }
+        inner.pf.issued.add(claimed + gap_blocks);
+        if gap_blocks > 0 {
+            inner.pf.wasted.add(gap_blocks * inner.block_size as u64);
+        }
+        (claimed + gap_blocks) as u32
+    }
+
+    /// Opens the span a read runs under: nested below the fault for a
+    /// demand read, a root for read-ahead.
+    fn read_span(
+        &self,
+        demand_name: &'static str,
+        reason: ReadReason,
+        stream: u32,
+        parent: SpanId,
+    ) -> SpanId {
+        let name = match reason {
+            ReadReason::Demand => demand_name,
+            ReadReason::Readahead => "iopath.readahead",
+        };
+        self.inner.sim.tracer().start(name, stream, parent)
     }
 
     /// Creates busy pages for `[lbn, lbn+len)` — clipped at the first
     /// already-cached page — and submits one contiguous, stream-tagged
-    /// read. Demand reads return the in-flight [`ClusterRead`]; read-ahead
-    /// spawns the fill task and returns immediately.
-    async fn read_cluster(
+    /// read at `pbn`. `None`: every page was already resident.
+    async fn issue_cluster(
         &self,
         fstream: &Rc<FileStream>,
-        rc: ReadCluster,
+        lbn: u64,
+        len: u32,
+        pbn: u32,
+        reason: ReadReason,
         parent: SpanId,
-    ) -> FsResult<Executed> {
+    ) -> FsResult<Option<ClusterRead>> {
         let inner = &*self.inner;
-        if rc.reason == ReadReason::Readahead
-            && inner.cache.lookup(self.key(fstream, rc.lbn)).is_some()
-        {
+        if reason == ReadReason::Readahead && inner.cache.lookup(self.key(fstream, lbn)).is_some() {
             // The data already arrived (or was never evicted): nothing to do.
-            return Ok(Executed::AlreadyCached);
+            return Ok(None);
         }
         let stream = fstream.id().as_u32();
-        let span = match rc.reason {
-            ReadReason::Demand => inner
-                .sim
-                .tracer()
-                .start("iopath.read_cluster", stream, parent),
-            // Read-ahead outlives the faulting operation; see
-            // `execute_traced`.
-            ReadReason::Readahead => {
-                inner
-                    .sim
-                    .tracer()
-                    .start("iopath.readahead", stream, SpanId::NONE)
-            }
-        };
-        inner.sim.tracer().arg(span, "lbn", rc.lbn);
+        let span = self.read_span("iopath.read_cluster", reason, stream, parent);
+        inner.sim.tracer().arg(span, "lbn", lbn);
         let mut pages = Vec::new();
-        for i in 0..rc.len.max(1) {
-            let key = self.key(fstream, rc.lbn + i as u64);
+        for i in 0..len.max(1) {
+            let key = self.key(fstream, lbn + i as u64);
             if inner.cache.lookup(key).is_some() {
                 break; // Already resident: clip the cluster here.
             }
@@ -703,17 +720,22 @@ impl IoPath {
             // The page identity is fresh; drop any stale read-ahead claim
             // a recycled predecessor left behind.
             inner.ra_pending.borrow_mut().remove(&key);
-            pages.push((rc.lbn + i as u64, id));
+            pages.push((lbn + i as u64, id));
         }
         let n = pages.len() as u32;
-        assert!(n > 0, "cluster read with zero absent pages");
+        if n == 0 {
+            // Another fault brought the first page in while this one was
+            // being planned.
+            inner.sim.tracer().end(span);
+            return Ok(None);
+        }
         inner.sim.tracer().arg(span, "blocks", n as u64);
         inner.cpu.charge("io_setup", inner.costs.io_setup).await;
         self.per_stream(fstream.id()).read_blocks.observe(n as u64);
-        let lba = rc.pbn as u64 * inner.sectors_per_block as u64;
+        let lba = pbn as u64 * inner.sectors_per_block as u64;
         let nsect = n * inner.sectors_per_block;
         let handle = inner.disk.submit_read_for(lba, nsect, stream, span);
-        let io = ClusterRead {
+        Ok(Some(ClusterRead {
             handle,
             lba,
             nsect,
@@ -721,69 +743,43 @@ impl IoPath {
             vnode: fstream.vnode,
             pages,
             span,
-        };
-        match rc.reason {
-            ReadReason::Demand => Ok(Executed::ReadIssued(io)),
-            ReadReason::Readahead => {
-                let blocks = io.blocks();
-                inner.pf.issued.add(blocks as u64);
-                {
-                    let mut ra = inner.ra_pending.borrow_mut();
-                    for (run_lbn, _) in &io.pages {
-                        ra.insert(self.key(fstream, *run_lbn));
-                    }
-                }
-                self.spawn_fill(io);
-                Ok(Executed::ReadaheadIssued { blocks })
-            }
-        }
+        }))
     }
 
-    /// Resolves the file's run-list once and moves up to `rr.len` blocks
-    /// in one batch — busy pages are created for the absent prefix
-    /// (clipped at the first already-cached page), one `io_setup` is
-    /// charged for the whole batch, and one stream-tagged transfer is
-    /// submitted per physical run. Demand batches return the in-flight
-    /// [`BatchRead`]; read-ahead spawns the fill task and returns.
-    async fn read_runs(
+    /// Resolves the file's run-list once and moves up to `len` blocks in
+    /// one batch — busy pages are created for the absent prefix (clipped
+    /// at the first already-cached page), one `io_setup` is charged for
+    /// the whole batch, and one stream-tagged transfer is submitted per
+    /// physical run. `None`: nothing was left to read.
+    async fn issue_runs(
         &self,
         fstream: &Rc<FileStream>,
         map: &impl BlockMap,
-        rr: ReadRuns,
+        lbn: u64,
+        len: u32,
+        reason: ReadReason,
         parent: SpanId,
-    ) -> FsResult<Executed> {
+    ) -> FsResult<Option<BatchRead>> {
         let inner = &*self.inner;
-        if rr.reason == ReadReason::Readahead
-            && inner.cache.lookup(self.key(fstream, rr.lbn)).is_some()
-        {
-            return Ok(Executed::AlreadyCached);
+        if reason == ReadReason::Readahead && inner.cache.lookup(self.key(fstream, lbn)).is_some() {
+            return Ok(None);
         }
-        let runs = map.runs(rr.lbn, rr.len.max(1)).await?;
+        let runs = map.runs(lbn, len.max(1)).await?;
         let covered: u32 = runs.iter().map(|&(_, n)| n).sum();
         if covered == 0 {
-            return match rr.reason {
+            return match reason {
                 // The caller saw the block mapped; an empty run-list here
                 // means the map lost it underneath us.
                 ReadReason::Demand => Err(FsError::Corrupt),
-                ReadReason::Readahead => Ok(Executed::AlreadyCached),
+                ReadReason::Readahead => Ok(None),
             };
         }
         let stream = fstream.id().as_u32();
-        let span = match rr.reason {
-            ReadReason::Demand => inner.sim.tracer().start("iopath.read_runs", stream, parent),
-            // Read-ahead outlives the faulting operation; see
-            // `execute_traced`.
-            ReadReason::Readahead => {
-                inner
-                    .sim
-                    .tracer()
-                    .start("iopath.readahead", stream, SpanId::NONE)
-            }
-        };
-        inner.sim.tracer().arg(span, "lbn", rr.lbn);
+        let span = self.read_span("iopath.read_runs", reason, stream, parent);
+        inner.sim.tracer().arg(span, "lbn", lbn);
         let mut pages = Vec::new();
-        for i in 0..covered.min(rr.len.max(1)) {
-            let key = self.key(fstream, rr.lbn + i as u64);
+        for i in 0..covered.min(len.max(1)) {
+            let key = self.key(fstream, lbn + i as u64);
             if inner.cache.lookup(key).is_some() {
                 break; // Already resident: clip the batch here.
             }
@@ -791,14 +787,14 @@ impl IoPath {
             // The page identity is fresh; drop any stale read-ahead claim
             // a recycled predecessor left behind.
             inner.ra_pending.borrow_mut().remove(&key);
-            pages.push((rr.lbn + i as u64, id));
+            pages.push((lbn + i as u64, id));
         }
         let n = pages.len() as u32;
         if n == 0 {
             // Everything arrived while the run-list resolved (the map's
             // translation may await, e.g. an indirect-block read).
             inner.sim.tracer().end(span);
-            return Ok(Executed::AlreadyCached);
+            return Ok(None);
         }
         inner.sim.tracer().arg(span, "blocks", n as u64);
         // One setup for the whole batch: this is the amortization a
@@ -825,45 +821,12 @@ impl IoPath {
             idx += take;
         }
         inner.sim.tracer().arg(span, "runs", parts.len() as u64);
-        let io = BatchRead {
+        Ok(Some(BatchRead {
             parts,
             stream,
             vnode: fstream.vnode,
             span,
-        };
-        match rr.reason {
-            ReadReason::Demand => Ok(Executed::BatchIssued(io)),
-            ReadReason::Readahead => {
-                let blocks = io.blocks();
-                inner.pf.issued.add(blocks as u64);
-                // Claim every wanted page; sieve gap filler is known
-                // wasted the moment it is issued.
-                let mut gap_blocks = 0u64;
-                {
-                    let mut ra = inner.ra_pending.borrow_mut();
-                    for part in &io.parts {
-                        for (run_lbn, _) in &part.pages {
-                            let wanted = match rr.sieve {
-                                Some((keep, period)) if period > 0 => {
-                                    ((run_lbn - rr.lbn) % period as u64) < keep as u64
-                                }
-                                _ => true,
-                            };
-                            if wanted {
-                                ra.insert(self.key(fstream, *run_lbn));
-                            } else {
-                                gap_blocks += 1;
-                            }
-                        }
-                    }
-                }
-                if gap_blocks > 0 {
-                    inner.pf.wasted.add(gap_blocks * inner.block_size as u64);
-                }
-                self.spawn_fill_batch(io);
-                Ok(Executed::ReadaheadIssued { blocks })
-            }
-        }
+        }))
     }
 
     /// Waits out a demand batch part by part, charging one interrupt per
@@ -876,7 +839,7 @@ impl IoPath {
     /// failed part was the one carrying `want_lbn`. Other parts still
     /// complete — their handles are in flight and their busy pages must be
     /// resolved either way.
-    pub async fn finish_batch(&self, io: BatchRead, want_lbn: u64) -> FsResult<PageId> {
+    async fn finish_batch(&self, io: BatchRead, want_lbn: u64) -> FsResult<PageId> {
         let inner = &*self.inner;
         let bs = inner.block_size;
         let mut want = None;
@@ -959,61 +922,47 @@ impl IoPath {
         });
     }
 
-    /// Waits out a demand read, charges the interrupt, fills and releases
-    /// every page of the run, and returns the page for `want_lbn`.
+    /// Waits out a cluster read, charges the interrupt, and fills and
+    /// releases every page of the run.
     ///
     /// Transient device errors are retried (see [`IoPath::set_retry`]); a
     /// terminal failure invalidates the run's pages and surfaces
     /// `FsError::Io`.
-    pub async fn finish_read(&self, io: ClusterRead, want_lbn: u64) -> FsResult<PageId> {
+    async fn land_cluster(&self, io: ClusterRead) -> FsResult<()> {
         let inner = &*self.inner;
         let res = self
             .await_read(io.handle, io.lba, io.nsect, io.stream, io.span)
             .await;
         inner.cpu.charge("io_intr", inner.costs.io_intr).await;
-        let data = match res {
-            Ok(data) => data,
-            Err(e) => {
-                self.drop_failed_pages(io.vnode, &io.pages);
-                inner.sim.tracer().end(io.span);
-                return Err(e);
+        match &res {
+            Ok(data) => {
+                let bs = inner.block_size;
+                for (i, (_lbn, id)) in io.pages.iter().enumerate() {
+                    inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
+                    inner.cache.unbusy(*id);
+                }
             }
-        };
-        let bs = inner.block_size;
-        let mut want = None;
-        for (i, (run_lbn, id)) in io.pages.iter().enumerate() {
-            inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
-            inner.cache.unbusy(*id);
-            if *run_lbn == want_lbn {
-                want = Some(*id);
-            }
+            Err(_) => self.drop_failed_pages(io.vnode, &io.pages),
         }
         inner.sim.tracer().end(io.span);
-        Ok(want.expect("requested page is in the run"))
+        res.map(drop)
     }
 
-    /// Asynchronous completion for read-ahead: wait, charge the interrupt,
-    /// fill and release. Terminal failures invalidate the speculative
-    /// pages (see [`IoPath::spawn_fill_batch`] for the rationale).
+    /// Demand completion: [`IoPath::land_cluster`], then the page for
+    /// `want_lbn`.
+    async fn finish_read(&self, io: ClusterRead, want_lbn: u64) -> FsResult<PageId> {
+        let want = io.pages.iter().find(|(lbn, _)| *lbn == want_lbn);
+        let want = want.expect("requested page is in the run").1;
+        self.land_cluster(io).await.map(|()| want)
+    }
+
+    /// Read-ahead completion: [`IoPath::land_cluster`] on a task of its
+    /// own. A terminal failure has nobody to tell (see
+    /// [`IoPath::spawn_fill_batch`] for the rationale).
     fn spawn_fill(&self, io: ClusterRead) {
         let this = self.clone();
         self.inner.sim.spawn(async move {
-            let inner = &*this.inner;
-            let res = this
-                .await_read(io.handle, io.lba, io.nsect, io.stream, io.span)
-                .await;
-            inner.cpu.charge("io_intr", inner.costs.io_intr).await;
-            match res {
-                Ok(data) => {
-                    let bs = inner.block_size;
-                    for (i, (_lbn, id)) in io.pages.iter().enumerate() {
-                        inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
-                        inner.cache.unbusy(*id);
-                    }
-                }
-                Err(_) => this.drop_failed_pages(io.vnode, &io.pages),
-            }
-            inner.sim.tracer().end(io.span);
+            let _ = this.land_cluster(io).await;
         });
     }
 
@@ -1021,18 +970,21 @@ impl IoPath {
     /// pages, gather each block-map-contiguous dirty run under page locks,
     /// reserve throttle space, and push one stream-tagged write per run.
     /// Completions (interrupt charge, page release, throttle credit) run
-    /// asynchronously; [`FileStream::quiesce`] waits them out.
-    async fn write_clusters(
+    /// asynchronously; [`FileStream::quiesce`] waits them out. With
+    /// `free_behind`, pages are freed once written (pageout-initiated
+    /// cleaning). Returns the blocks of each cluster issued.
+    pub async fn write_clusters(
         &self,
         fstream: &Rc<FileStream>,
         map: &impl BlockMap,
-        wc: WriteCluster,
-    ) -> FsResult<Executed> {
+        range: Range<u64>,
+        free_behind: bool,
+    ) -> FsResult<Vec<u32>> {
         let inner = &*self.inner;
         let bs = inner.block_size;
         let mut cluster_blocks = Vec::new();
-        let mut cur = wc.range.start;
-        while cur < wc.range.end {
+        let mut cur = range.start;
+        while cur < range.end {
             // Find the next dirty resident page in the range and lock it.
             // Re-check dirtiness after the lock: a concurrent flush (fsync
             // racing putpage, or the cleaner) may have written it while we
@@ -1055,7 +1007,7 @@ impl IoPath {
                 continue;
             }
             // How far can one transfer go? The block map knows.
-            let cap = ((wc.range.end - cur) as u32).min(map.max_cluster());
+            let cap = ((range.end - cur) as u32).min(map.max_cluster());
             let (pbn, contig) = match map.extent(cur, cap).await? {
                 Some(v) => v,
                 None => {
@@ -1092,7 +1044,7 @@ impl IoPath {
                     .with_page(*pid, |d| payload.extend_from_slice(d));
             }
             // A root span per cluster: the push completes after the caller
-            // returns (see `execute_traced`), so it cannot nest anywhere.
+            // returns (see `readahead`), so it cannot nest anywhere.
             let span = inner.sim.tracer().start(
                 "iopath.write_cluster",
                 fstream.id().as_u32(),
@@ -1116,7 +1068,6 @@ impl IoPath {
                 .submit_write_for(lba, nsect, payload, stream, span);
             let this = self.clone();
             let fstream2 = Rc::clone(fstream);
-            let free_after = wc.free_behind;
             inner.sim.spawn(async move {
                 let inner = &*this.inner;
                 let mut attempt = 0u32;
@@ -1151,15 +1102,7 @@ impl IoPath {
                     }
                 };
                 if !status.is_ok() {
-                    inner
-                        .sim
-                        .stats()
-                        .counter(if status == IoStatus::DeviceGone {
-                            "io.errors{kind=gone}"
-                        } else {
-                            "io.errors{kind=media}"
-                        })
-                        .inc();
+                    this.count_terminal_error(status);
                     // The data is lost; there is no caller to fail. Record
                     // the sticky error for the next fsync and release the
                     // pages anyway — leaving them dirty would wedge the
@@ -1169,7 +1112,7 @@ impl IoPath {
                 for pid in &run {
                     inner.cache.clear_dirty(*pid);
                     inner.cache.unbusy(*pid);
-                    if free_after {
+                    if free_behind {
                         inner.cache.free_page(*pid);
                     }
                 }
@@ -1180,18 +1123,30 @@ impl IoPath {
             cluster_blocks.push(n);
             cur += n as u64;
         }
-        Ok(Executed::Wrote { cluster_blocks })
+        Ok(cluster_blocks)
     }
 
-    /// Free-behind mechanism: release the page unless it became busy or
-    /// dirty since the policy looked.
-    fn free_page(&self, fb: FreeBehind) -> bool {
-        let inner = &*self.inner;
-        if !inner.cache.is_busy(fb.page) && !inner.cache.is_dirty(fb.page) {
-            inner.cache.free_page(fb.page);
-            true
-        } else {
-            false
+    /// Free-behind mechanism: release the page the policy chose unless it
+    /// became busy or dirty since the policy looked. Returns whether it
+    /// was released.
+    pub fn free_behind(&self, page: PageId) -> bool {
+        let cache = &self.inner.cache;
+        let free = !cache.is_busy(page) && !cache.is_dirty(page);
+        if free {
+            cache.free_page(page);
         }
+        free
+    }
+
+    /// One synchronous block read that bypasses the page cache and the
+    /// backoff policy (the read half of a partial-block write; UFS
+    /// metadata): setup charge, transfer, interrupt charge.
+    pub async fn read_block(&self, pbn: u64) -> Vec<u8> {
+        let inner = &*self.inner;
+        inner.cpu.charge("io_setup", inner.costs.io_setup).await;
+        let spb = inner.sectors_per_block;
+        let data = inner.disk.read(pbn * spb as u64, spb).await;
+        inner.cpu.charge("io_intr", inner.costs.io_intr).await;
+        data
     }
 }

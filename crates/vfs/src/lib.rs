@@ -10,9 +10,16 @@
 //! The interface is deliberately narrower than a real VFS — just what the
 //! paper's evaluation exercises: create/open/remove/lookup, read/write at an
 //! offset (in copying or mapped mode), fsync, truncate, and mount-wide sync.
+//!
+//! Below the traits, two modules hold everything the file systems share:
+//! [`frontend`] is the one implementation of `rdwr`/`getpage`/`putpage` and
+//! the data half of fsync, generic over what a file system has to say
+//! about a file; [`iopath`] is the executor it drives — busy pages,
+//! cluster transfers, retry, the per-stream prefetch engines.
 
 use std::fmt;
 
+pub mod frontend;
 pub mod iopath;
 
 /// Identifies a file for page cache naming; equals

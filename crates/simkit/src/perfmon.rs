@@ -506,8 +506,19 @@ mod tests {
     use super::*;
     use crate::{Sim, SimDuration};
 
+    /// The enable flag and the record collector are process-global, and
+    /// the harness runs tests on parallel threads: tests that set one or
+    /// drain the other must not interleave. A panic in one must not fail
+    /// the next, so a poisoned lock is taken anyway (it guards no data).
+    static GLOBALS: Mutex<()> = Mutex::new(());
+
+    fn globals() -> MutexGuard<'static, ()> {
+        GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn phases_record_on_named_workers_and_merge() {
+        let _serialize = globals();
         set_enabled(true);
         let _ = take_records(); // Discard records from other tests.
         {
@@ -515,7 +526,12 @@ mod tests {
             std::thread::scope(|s| {
                 s.spawn(|| {
                     set_worker(3);
-                    let _p = phase_labeled("test.inner", "run/x");
+                    drop(phase_labeled("test.inner", "run/x"));
+                    // As the runner's workers do: `thread::scope` unblocks
+                    // when the closure completes, but the flush-on-exit
+                    // TLS destructor runs afterwards and would race the
+                    // `take_records` below.
+                    flush_thread();
                 });
             });
         }
@@ -532,6 +548,7 @@ mod tests {
 
     #[test]
     fn disabled_profiler_records_nothing() {
+        let _serialize = globals();
         set_enabled(false);
         {
             let _g = phase("test.ghost");

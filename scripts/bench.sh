@@ -7,7 +7,9 @@
 #    byte-identical stdout, --stats-json, --trace, and --timeline output
 #    at jobs=1 and jobs=4 — with the host profiler (--perf) armed, which
 #    must observe without perturbing.
-# 2. Runs the wallclock bench (crates/bench/benches/wallclock.rs) and
+# 2. Checks every experiment's stdout and stats document against the
+#    committed hashes (scripts/surfaces.sh, SURFACES.sha256).
+# 3. Runs the wallclock bench (crates/bench/benches/wallclock.rs) and
 #    writes BENCH_iobench.json (schema iobench-bench/v3; see DESIGN.md
 #    "Wall-clock performance"), attaching the host profile
 #    (BENCH_iobench.perf.json) so a bad parallel speedup arrives with
@@ -105,6 +107,10 @@ cmp "$TMP/r1.json" "$TMP/r4.json"
 grep -q 'io.prefetch_issued' "$TMP/r1.json"
 grep -q '"id":"readahead/ufs-A/adaptive/s256/r8"' "$TMP/r1.json"
 echo "readahead jobs=1 vs jobs=4: stdout and stats JSON are byte-identical"
+
+# Every experiment against the committed baseline. New experiments get
+# their determinism coverage here, not another cmp leg above.
+scripts/surfaces.sh --check
 
 if [ "$MODE" = smoke ]; then
     cargo bench -p bench --bench wallclock -- --smoke --out "$OUT"

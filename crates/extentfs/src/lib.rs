@@ -576,10 +576,11 @@ impl Backing for ExtFile {
     ) -> FsResult<Option<Probe>> {
         let costs = self.fs.inner.params.costs;
         self.fs.charge("bmap", costs.bmap).await;
-        if self.fs.translate(self.ino, lbn).is_none() {
+        let here = self.probe(lbn, eof_blocks).await?;
+        if here.blocks == 0 {
             return Err(FsError::Corrupt);
         }
-        self.probe(lbn, eof_blocks).await.map(Some)
+        Ok(Some(here))
     }
 
     /// The unit containing `lbn` may be physically fragmented on an aged

@@ -274,10 +274,7 @@ impl Ufs {
             if ip.din.borrow().kind != FileKind::Regular {
                 return Err(FsError::NotAFile);
             }
-            let file = UfsFile {
-                fs: self.clone(),
-                ip,
-            };
+            let file = self.file(&ip);
             file.truncate(0).await?;
             return Ok(file);
         }
@@ -294,10 +291,7 @@ impl Ufs {
         // Classic UFS ordering: the inode reaches disk before the name.
         self.iflush(&ip, true).await;
         self.dir_add(&parent, &name, ino).await?;
-        Ok(UfsFile {
-            fs: self.clone(),
-            ip,
-        })
+        Ok(self.file(&ip))
     }
 
     /// Opens an existing regular file.
@@ -308,10 +302,7 @@ impl Ufs {
         if ip.din.borrow().kind != FileKind::Regular {
             return Err(FsError::NotAFile);
         }
-        Ok(UfsFile {
-            fs: self.clone(),
-            ip,
-        })
+        Ok(self.file(&ip))
     }
 
     /// Unlinks a file: removes the name, and when the last link drops,

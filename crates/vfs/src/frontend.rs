@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use clufs::{FreeBehindPolicy, PrefetchPolicy, WriteAction};
 use diskmodel::SharedDevice;
-use pagecache::{PageCache, PageId, PageKey};
+use pagecache::{PageCache, PageId};
 use simkit::{Cpu, Sim, SimDuration, SpanId};
 
 use crate::iopath::{BlockMap, FileStream, IoCosts, IoPath, PendingRead};
@@ -172,8 +172,7 @@ enum Fault {
     Miss(PendingRead),
 }
 
-/// One mount's vnode front end. Clones share the mount's I/O executor.
-#[derive(Clone)]
+/// One mount's vnode front end.
 pub struct FrontEnd {
     sim: Sim,
     cpu: Cpu,
@@ -215,13 +214,6 @@ impl FrontEnd {
 
     fn block_size(&self) -> u64 {
         self.io.block_size() as u64
-    }
-
-    fn key(&self, io: &FileStream, lbn: u64) -> PageKey {
-        PageKey {
-            vnode: io.vnode(),
-            offset: lbn * self.block_size(),
-        }
     }
 
     // ---- rdwr ----
@@ -335,7 +327,7 @@ impl FrontEnd {
     /// fill in progress has landed, else a new one — zeroed, returned busy,
     /// flagged `true` — for the caller to fill and release.
     pub async fn find_or_create(&self, io: &FileStream, lbn: u64, span: SpanId) -> (PageId, bool) {
-        let key = self.key(io, lbn);
+        let key = self.io.key(io, lbn);
         match self.cache.lookup(key) {
             Some(pid) => {
                 // May be mid-read-ahead: wait for the fill.
@@ -453,7 +445,7 @@ impl FrontEnd {
         let stream = io.id().as_u32();
         let eof_blocks = node.eof().div_ceil(self.block_size());
         assert!(lbn < eof_blocks, "getpage beyond EOF");
-        let key = self.key(io, lbn);
+        let key = self.io.key(io, lbn);
         let cached = self.cache.lookup_traced(key, stream, span);
         let hit = cached.is_some();
         node.count(Event::Getpage {

@@ -519,7 +519,8 @@ impl IoPath {
         self.inner.block_size
     }
 
-    fn key(&self, fstream: &FileStream, lbn: u64) -> PageKey {
+    /// Page-cache name of block `lbn` of the stream's file.
+    pub(crate) fn key(&self, fstream: &FileStream, lbn: u64) -> PageKey {
         PageKey {
             vnode: fstream.vnode,
             offset: lbn * self.inner.block_size as u64,

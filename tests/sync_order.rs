@@ -39,8 +39,10 @@ fn extentfs_outcome() -> (String, SimTime) {
     let s = sim.clone();
     sim.run_until(async move {
         let cpu = simkit::Cpu::new(&s);
-        let disk: diskmodel::SharedDevice =
-            Rc::new(diskmodel::Disk::new(&s, diskmodel::DiskParams::small_test()));
+        let disk: diskmodel::SharedDevice = Rc::new(diskmodel::Disk::new(
+            &s,
+            diskmodel::DiskParams::small_test(),
+        ));
         let cache = pagecache::PageCache::new(&s, pagecache::PageCacheParams::small_test());
         let params = extentfs::ExtentFsParams::with_extent_blocks(4);
         let fs = extentfs::ExtentFs::format(&s, &cpu, &cache, &disk, 64, params).unwrap();

@@ -928,8 +928,9 @@ impl IoPath {
     ///
     /// Transient device errors are retried (see [`IoPath::set_retry`]); a
     /// terminal failure invalidates the run's pages and surfaces
-    /// `FsError::Io`.
-    async fn land_cluster(&self, io: ClusterRead) -> FsResult<()> {
+    /// `FsError::Io`. Takes the executor by value so the future can be
+    /// spawned as it is, without a wrapper that would hold it twice.
+    async fn land_cluster(self, io: ClusterRead) -> FsResult<()> {
         let inner = &*self.inner;
         let res = self
             .await_read(io.handle, io.lba, io.nsect, io.stream, io.span)
@@ -954,17 +955,14 @@ impl IoPath {
     async fn finish_read(&self, io: ClusterRead, want_lbn: u64) -> FsResult<PageId> {
         let want = io.pages.iter().find(|(lbn, _)| *lbn == want_lbn);
         let want = want.expect("requested page is in the run").1;
-        self.land_cluster(io).await.map(|()| want)
+        self.clone().land_cluster(io).await.map(|()| want)
     }
 
     /// Read-ahead completion: [`IoPath::land_cluster`] on a task of its
     /// own. A terminal failure has nobody to tell (see
     /// [`IoPath::spawn_fill_batch`] for the rationale).
     fn spawn_fill(&self, io: ClusterRead) {
-        let this = self.clone();
-        self.inner.sim.spawn(async move {
-            let _ = this.land_cluster(io).await;
-        });
+        self.inner.sim.spawn(self.clone().land_cluster(io));
     }
 
     /// The paper's Figure 8 while loop: sweep `[range)` for dirty resident

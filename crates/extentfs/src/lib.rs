@@ -27,7 +27,10 @@
 //!   the paper's clustering explicitly does not help.
 //!
 //! The inode table and maps are held in core; only the data path is
-//! simulated in full, because only the data path is measured.
+//! simulated in full, because only the data path is measured. That data
+//! path is not this crate's: `rdwr`/`getpage`/`putpage`/fsync are the
+//! shared front end ([`vfs::frontend`]) UFS runs too, so the head-to-head
+//! compares layout, allocation and metadata and nothing else.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

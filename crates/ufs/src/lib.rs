@@ -13,8 +13,10 @@
 //!   per-file write limit.
 //!
 //! The paths are selected by [`clufs::Tuning`] at mount time, exactly like
-//! the paper's instrumented kernel. **The on-disk format is identical under
-//! both** — the paper's central constraint.
+//! the paper's instrumented kernel: both are the shared vnode front end
+//! ([`vfs::frontend`], which extentfs runs too) at an I/O unit of one block
+//! or `maxcontig`. **The on-disk format is identical under both** — the
+//! paper's central constraint.
 
 pub mod alloc;
 pub mod bmap;

@@ -23,7 +23,7 @@ fn seq_write_read(tuning: Tuning, bytes: usize) -> u64 {
             off += 8192;
         }
         f.fsync().await.unwrap();
-        w.cache.invalidate_vnode(f.id(), 0);
+        w.invalidate(&f);
         let mut total = 0u64;
         let mut off = 0u64;
         while (off as usize) < bytes {

@@ -15,7 +15,6 @@ use iobench::runner::Runner;
 use iobench::{run_iobench, Config, IoKind};
 use simkit::Sim;
 use std::time::Duration;
-use vfs::Vnode;
 
 static PRINT_ONCE: Once = Once::new();
 
@@ -50,11 +49,8 @@ fn bench_fig10(c: &mut Criterion) {
                     )
                     .await
                     .unwrap();
-                    let cache = w.cache.clone();
                     run_iobench(
-                        &s,
-                        &w.fs,
-                        move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
+                        &w,
                         "t",
                         kind,
                         iobench::iobench::BenchOptions {

@@ -38,13 +38,13 @@ use std::rc::Rc;
 
 use clufs::{FreeBehindPolicy, PrefetchPolicy};
 use diskmodel::{BlockDeviceExt, SharedDevice};
-use pagecache::{PageCache, PageKey};
+use pagecache::{PageCache, PageCacheParams, PageKey, PageoutDaemon, PageoutParams};
 use simkit::stats::{Counter, Gauge};
 use simkit::{Cpu, Sim, SimDuration, SpanId};
 use ufs::CpuCosts;
 use vfs::frontend::{Backing, Costs, Event, FrontEnd, Probe};
 use vfs::iopath::{BlockMap, FileStream};
-use vfs::{AccessMode, FileSystem, FsError, FsResult, StreamId, Vnode, VnodeId};
+use vfs::{AccessMode, FileSystem, FsError, FsResult, StreamId, Vnode, VnodeId, World};
 
 pub mod alloc;
 pub mod tree;
@@ -222,6 +222,35 @@ pub struct ExtentFsStats {
 #[derive(Clone)]
 pub struct ExtentFs {
     inner: Rc<Inner>,
+}
+
+/// Builds a machine on `disk` — a single drive or a `volmgr` array — with
+/// a freshly formatted extentfs holding up to `ninodes` files: the sibling
+/// of `ufs::build_world_on`, and the one place an extentfs machine is
+/// assembled (cache, pageout daemon, then the format).
+///
+/// extentfs runs no cleaner task, so the daemon's dirty-victim queue is
+/// dropped: its sends fail and are ignored, and dirty pages wait for fsync.
+pub fn build_world_on(
+    sim: &Sim,
+    disk: SharedDevice,
+    cache_params: PageCacheParams,
+    pageout_params: PageoutParams,
+    ninodes: u32,
+    params: ExtentFsParams,
+) -> FsResult<World<ExtentFs>> {
+    let cpu = Cpu::new(sim);
+    let cache = PageCache::new(sim, cache_params);
+    let (daemon, _) = PageoutDaemon::spawn(sim, &cache, Some(cpu.clone()), pageout_params);
+    let fs = ExtentFs::format(sim, &cpu, &cache, &disk, ninodes, params)?;
+    Ok(World {
+        sim: sim.clone(),
+        cpu,
+        disk,
+        cache,
+        daemon,
+        fs,
+    })
 }
 
 /// An open file.
@@ -714,6 +743,12 @@ impl Backing for ExtFile {
 
 impl ExtFile {
     async fn truncate_impl(&self, size: u64) -> FsResult<()> {
+        if size > self.size() {
+            // No holes: growing is a write of the new last byte, and the
+            // write path zero-fills up to it (in the inode record, through
+            // a spill, or block by block).
+            return self.write(size - 1, &[0], AccessMode::Copy).await;
+        }
         self.fsync().await?;
         let keep_blocks = size.div_ceil(BLOCK_SIZE as u64);
         let freed: Vec<(u32, u32)> = {
@@ -721,7 +756,7 @@ impl ExtFile {
             let inode = inodes[self.ino as usize]
                 .as_mut()
                 .ok_or(FsError::NotFound)?;
-            inode.size = size.min(inode.size);
+            inode.size = size;
             match &mut inode.data {
                 FileData::Inline(buf) => {
                     buf.truncate(size as usize);
@@ -858,26 +893,27 @@ impl FileSystem for ExtentFs {
 mod tests {
     use super::*;
     use diskmodel::DiskParams;
-    use pagecache::PageCacheParams;
 
+    /// The small test machine. Its pageout daemon keeps page allocation
+    /// from deadlocking when a test touches more pages than the (tiny)
+    /// cache holds; dirty victims wait for the tests' explicit fsyncs.
     fn world(sim: &Sim, extent_blocks: u32) -> (ExtentFs, SharedDevice) {
-        let cpu = Cpu::new(sim);
-        let disk: SharedDevice = Rc::new(diskmodel::Disk::new(sim, DiskParams::small_test()));
-        let cache = PageCache::new(sim, PageCacheParams::small_test());
-        // A pageout daemon keeps page allocation from deadlocking when a
-        // test touches more pages than the (tiny) cache holds. Dirty
-        // victims are not cleaned here (tests fsync explicitly).
-        let (_daemon, _rx) = pagecache::PageoutDaemon::spawn(
-            sim,
-            &cache,
-            None,
-            pagecache::PageoutParams::small_test(),
-        );
-        std::mem::forget(_rx); // Keep the cleaner channel open.
         let mut params = ExtentFsParams::with_extent_blocks(extent_blocks);
         params.costs = CpuCosts::free();
-        let fs = ExtentFs::format(sim, &cpu, &cache, &disk, 64, params).unwrap();
-        (fs, disk)
+        let w = small_world(sim, 64, params);
+        (w.fs, w.disk)
+    }
+
+    fn small_world(sim: &Sim, ninodes: u32, params: ExtentFsParams) -> World<ExtentFs> {
+        build_world_on(
+            sim,
+            Rc::new(diskmodel::Disk::new(sim, DiskParams::small_test())),
+            PageCacheParams::small_test(),
+            PageoutParams::small_test(),
+            ninodes,
+            params,
+        )
+        .unwrap()
     }
 
     fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -1173,12 +1209,9 @@ mod tests {
         let sim = Sim::new();
         let s = sim.clone();
         sim.run_until(async move {
-            let cpu = Cpu::new(&s);
-            let disk: SharedDevice = Rc::new(diskmodel::Disk::new(&s, DiskParams::small_test()));
-            let cache = PageCache::new(&s, PageCacheParams::small_test());
             let params = ExtentFsParams::with_extent_blocks(4);
             let costs = params.costs;
-            let fs = ExtentFs::format(&s, &cpu, &cache, &disk, 8, params).unwrap();
+            let World { cpu, cache, fs, .. } = small_world(&s, 8, params);
             let f = fs.create("m").await.unwrap();
             const BLOCKS: usize = 4;
             let data = pattern(BLOCKS * BLOCK_SIZE, 6);
@@ -1199,6 +1232,48 @@ mod tests {
                 cpu.busy() - busy0,
                 (costs.page_hit + costs.bmap) * BLOCKS as u64
             );
+        });
+    }
+
+    #[test]
+    fn truncate_extends_with_zeros() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let (fs, _disk) = world(&s, 4);
+            // Inline: grows inside the inode record, then spills.
+            let small = fs.create("small").await.unwrap();
+            small.write(0, b"head", AccessMode::Copy).await.unwrap();
+            small.truncate(100).await.unwrap();
+            assert_eq!(small.size(), 100);
+            let mut want = b"head".to_vec();
+            want.resize(100, 0);
+            assert_eq!(small.read(0, 200, AccessMode::Copy).await.unwrap(), want);
+            assert_eq!(fs.stats().inline_files, 1);
+            small.truncate(2 * BLOCK_SIZE as u64 + 7).await.unwrap();
+            assert_eq!(small.size(), 2 * BLOCK_SIZE as u64 + 7);
+            want.resize(2 * BLOCK_SIZE + 7, 0);
+            let back = small
+                .read(0, 3 * BLOCK_SIZE, AccessMode::Copy)
+                .await
+                .unwrap();
+            assert_eq!(back, want);
+            assert_eq!(fs.stats().inline_files, 0, "spilled");
+            // Extents: shrink to mid-block, then grow past the old end;
+            // nothing of the old contents may show through.
+            let big = fs.create("big").await.unwrap();
+            let data = pattern(20_000, 4);
+            big.write(0, &data, AccessMode::Copy).await.unwrap();
+            big.truncate(5000).await.unwrap();
+            big.truncate(5 * BLOCK_SIZE as u64 + 100).await.unwrap();
+            assert_eq!(big.size(), 5 * BLOCK_SIZE as u64 + 100);
+            big.fsync().await.unwrap();
+            fs.inner.cache.invalidate_vnode(big.id(), 0);
+            let mut want = data[..5000].to_vec();
+            want.resize(5 * BLOCK_SIZE + 100, 0);
+            let back = big.read(0, 6 * BLOCK_SIZE, AccessMode::Copy).await.unwrap();
+            assert_eq!(back, want);
+            assert_eq!(fs.check(), Vec::<String>::new());
         });
     }
 

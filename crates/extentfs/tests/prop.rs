@@ -17,13 +17,13 @@
 use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
-use diskmodel::{DiskParams, SharedDevice};
+use diskmodel::DiskParams;
 use extentfs::alloc::{BuddyAllocator, MAX_ORDER};
 use extentfs::tree::{ExtentRec, ExtentTree, NODE_CAP};
 use extentfs::{ExtentFs, ExtentFsParams};
-use pagecache::{PageCache, PageCacheParams, PageoutDaemon, PageoutParams};
+use pagecache::{PageCacheParams, PageoutParams};
 use proptest::prelude::*;
-use simkit::{Cpu, Sim};
+use simkit::Sim;
 use ufs::CpuCosts;
 use vfs::{AccessMode, FileSystem, Vnode};
 
@@ -286,14 +286,18 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 fn spill_world(sim: &Sim) -> ExtentFs {
-    let cpu = Cpu::new(sim);
-    let disk: SharedDevice = Rc::new(diskmodel::Disk::new(sim, DiskParams::small_test()));
-    let cache = PageCache::new(sim, PageCacheParams::small_test());
-    let (_daemon, rx) = PageoutDaemon::spawn(sim, &cache, None, PageoutParams::small_test());
-    std::mem::forget(rx);
     let mut params = ExtentFsParams::with_extent_blocks(8);
     params.costs = CpuCosts::free();
-    ExtentFs::format(sim, &cpu, &cache, &disk, 64, params).unwrap()
+    extentfs::build_world_on(
+        sim,
+        Rc::new(diskmodel::Disk::new(sim, DiskParams::small_test())),
+        PageCacheParams::small_test(),
+        PageoutParams::small_test(),
+        64,
+        params,
+    )
+    .unwrap()
+    .fs
 }
 
 proptest! {

@@ -6,10 +6,8 @@
 //! 13MB file. In the worst case, the average extent size was 62KB in a
 //! 16MB file."
 
-use pagecache::PageCache;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simkit::Sim;
 use ufs::World;
 use vfs::{AccessMode, FileSystem, FsError, FsResult, Vnode};
 
@@ -141,102 +139,44 @@ pub async fn age_filesystem(world: &World, opts: AgingOptions) -> FsResult<usize
     Ok(alive.len())
 }
 
-/// The hooks the clustering-decay study needs beyond [`FileSystem`]:
-/// capacity accounting, extent maps, cache invalidation, and namespace
-/// placement (UFS churns under `home/`, extentfs is flat).
+/// What the clustering-decay study reads off a file system beyond
+/// [`FileSystem`]: its space accounting and a file's physical layout.
 #[allow(async_fn_in_trait)] // Single-threaded simulation: futures are !Send by design.
-pub trait AgedFs {
-    /// The vnode type the churn drives.
-    type File: Vnode;
-
-    /// One-time setup before churn (UFS: `mkdir home`).
-    async fn prepare(&self) -> FsResult<()> {
-        Ok(())
-    }
-
-    /// Creates (or truncates) the churn file named `stem`.
-    async fn create(&self, stem: &str) -> FsResult<Self::File>;
-
-    /// Removes the churn file named `stem`.
-    async fn remove(&self, stem: &str) -> FsResult<()>;
-
+pub trait AgedFs: FileSystem {
     /// Total data blocks in the volume.
     fn capacity_blocks(&self) -> u64;
 
     /// Free data blocks.
     fn free_blocks(&self) -> u64;
 
-    /// Drops the file's cached pages so a timed read hits the disk.
-    fn invalidate(&self, f: &Self::File);
-
     /// The file's physical extent map as `(logical, physical, blocks)`.
-    async fn extent_map(&self, f: &Self::File) -> FsResult<Vec<(u64, u64, u32)>>;
+    async fn extent_map(f: &Self::File) -> FsResult<Vec<(u64, u64, u32)>>;
 }
 
-impl AgedFs for World {
-    type File = ufs::UfsFile;
-
-    async fn prepare(&self) -> FsResult<()> {
-        self.fs.mkdir("home").await
-    }
-
-    async fn create(&self, stem: &str) -> FsResult<ufs::UfsFile> {
-        self.fs.create(&format!("home/{stem}")).await
-    }
-
-    async fn remove(&self, stem: &str) -> FsResult<()> {
-        self.fs.remove(&format!("home/{stem}")).await
-    }
-
+impl AgedFs for ufs::Ufs {
     fn capacity_blocks(&self) -> u64 {
-        self.fs.capacity_blocks()
+        self.capacity_blocks()
     }
 
     fn free_blocks(&self) -> u64 {
-        self.fs.free_blocks()
+        self.free_blocks()
     }
 
-    fn invalidate(&self, f: &ufs::UfsFile) {
-        self.cache.invalidate_vnode(f.id(), 0);
-    }
-
-    async fn extent_map(&self, f: &ufs::UfsFile) -> FsResult<Vec<(u64, u64, u32)>> {
+    async fn extent_map(f: &ufs::UfsFile) -> FsResult<Vec<(u64, u64, u32)>> {
         f.extents().await
     }
 }
 
-/// An extentfs mount plus the cache handle the decay probe needs.
-pub struct ExtAgedWorld {
-    /// The mounted extent file system.
-    pub fs: extentfs::ExtentFs,
-    /// The page cache it runs on.
-    pub cache: PageCache,
-}
-
-impl AgedFs for ExtAgedWorld {
-    type File = extentfs::ExtFile;
-
-    async fn create(&self, stem: &str) -> FsResult<extentfs::ExtFile> {
-        self.fs.create(stem).await
-    }
-
-    async fn remove(&self, stem: &str) -> FsResult<()> {
-        self.fs.remove(stem).await
-    }
-
+impl AgedFs for extentfs::ExtentFs {
     fn capacity_blocks(&self) -> u64 {
-        self.fs.capacity_blocks()
+        self.capacity_blocks()
     }
 
     fn free_blocks(&self) -> u64 {
-        self.fs.free_blocks()
+        self.free_blocks()
     }
 
-    fn invalidate(&self, f: &extentfs::ExtFile) {
-        self.cache.invalidate_vnode(f.id(), 0);
-    }
-
-    async fn extent_map(&self, f: &extentfs::ExtFile) -> FsResult<Vec<(u64, u64, u32)>> {
+    async fn extent_map(f: &extentfs::ExtFile) -> FsResult<Vec<(u64, u64, u32)>> {
         f.extents().await
     }
 }
@@ -272,17 +212,19 @@ pub struct DecayPoint {
     pub seq_read_kb_s: f64,
 }
 
-/// Writes a probe file, measures its extent map and cold sequential-read
-/// throughput, then removes it.
+/// Writes a probe file under `dir`, measures its extent map and cold
+/// sequential-read throughput, then removes it.
 async fn decay_probe<F: AgedFs>(
-    sim: &Sim,
-    fs: &F,
+    w: &vfs::World<F>,
+    dir: &str,
     round: usize,
     probe_bytes: u64,
 ) -> FsResult<DecayPoint> {
+    let (sim, fs) = (&w.sim, &w.fs);
+    let path = format!("{dir}probe.dat");
     // Zeros: never read for content, never materialized by the store.
     let payload = vec![0u8; 8192];
-    let f = fs.create("probe.dat").await?;
+    let f = fs.create(&path).await?;
     let mut written = 0u64;
     while written < probe_bytes {
         match f.write(written, &payload, AccessMode::Copy).await {
@@ -292,7 +234,7 @@ async fn decay_probe<F: AgedFs>(
         }
     }
     f.fsync().await?;
-    let extents = fs.extent_map(&f).await?;
+    let extents = F::extent_map(&f).await?;
     let blocks: u64 = extents.iter().map(|e| e.2 as u64).sum();
     let adjacent: u64 = extents.iter().map(|e| e.2 as u64 - 1).sum();
     let contiguity = if blocks > 1 {
@@ -305,7 +247,7 @@ async fn decay_probe<F: AgedFs>(
     } else {
         blocks as f64 * 8.0 / extents.len() as f64
     };
-    fs.invalidate(&f);
+    w.invalidate(&f);
     let t0 = sim.now();
     let mut buf = vec![0u8; 8192];
     let mut off = 0u64;
@@ -322,7 +264,7 @@ async fn decay_probe<F: AgedFs>(
     } else {
         off as f64 / 1024.0 / elapsed.as_secs_f64()
     };
-    fs.remove("probe.dat").await?;
+    fs.remove(&path).await?;
     Ok(DecayPoint {
         round,
         mean_extent_kb,
@@ -335,6 +277,7 @@ async fn decay_probe<F: AgedFs>(
 /// files (bounded by the op budget), then delete a random 40%.
 async fn churn_round<F: AgedFs>(
     fs: &F,
+    dir: &str,
     rng: &mut SmallRng,
     alive: &mut Vec<String>,
     counter: &mut usize,
@@ -348,7 +291,7 @@ async fn churn_round<F: AgedFs>(
         if used as f64 / capacity as f64 >= opts.target_fill {
             break;
         }
-        let name = format!("f{counter}");
+        let name = format!("{dir}f{counter}");
         *counter += 1;
         let kb = match rng.gen_range(0..10) {
             0..=5 => rng.gen_range(1..16),
@@ -394,19 +337,20 @@ async fn churn_round<F: AgedFs>(
 /// The clustering-decay study: probes a fresh file system, then
 /// alternates churn rounds with probes, tracking how allocator
 /// contiguity (and with it sequential-read throughput) decays with age.
+/// Every file lives under `dir` (`""`, or an existing directory with its
+/// trailing slash).
 pub async fn clustering_decay<F: AgedFs>(
-    sim: &Sim,
-    fs: &F,
+    w: &vfs::World<F>,
+    dir: &str,
     opts: &DecayOptions,
 ) -> FsResult<Vec<DecayPoint>> {
-    fs.prepare().await?;
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let mut alive = Vec::new();
     let mut counter = 0usize;
-    let mut points = vec![decay_probe(sim, fs, 0, opts.probe_bytes).await?];
+    let mut points = vec![decay_probe(w, dir, 0, opts.probe_bytes).await?];
     for round in 1..=opts.rounds {
-        churn_round(fs, &mut rng, &mut alive, &mut counter, opts).await?;
-        points.push(decay_probe(sim, fs, round, opts.probe_bytes).await?);
+        churn_round(&w.fs, dir, &mut rng, &mut alive, &mut counter, opts).await?;
+        points.push(decay_probe(w, dir, round, opts.probe_bytes).await?);
     }
     Ok(points)
 }
@@ -415,6 +359,7 @@ pub async fn clustering_decay<F: AgedFs>(
 mod tests {
     use super::*;
     use crate::configs::{paper_world, Config, WorldOptions};
+    use simkit::Sim;
 
     #[test]
     fn fresh_fs_probe_is_highly_contiguous() {

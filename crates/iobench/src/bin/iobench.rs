@@ -84,10 +84,126 @@ use volmgr::VolumeSpec;
 #[global_allocator]
 static ALLOC: perfmon::CountingAlloc = perfmon::CountingAlloc;
 
+/// Everything an experiment reads: the parsed flags and the runner.
+struct Ctx<'a> {
+    scale: RunScale,
+    quick: bool,
+    nstreams: u32,
+    aging: AgingParams,
+    volume: Option<VolumeSpec>,
+    faults: Option<FaultPlan>,
+    /// `(policy, stride KB, record KB)` when a readahead flag selected one
+    /// cell instead of the sweep.
+    ra_cell: Option<(clufs::PrefetchPolicy, u64, u64)>,
+    runner: Runner<'a>,
+}
+
+/// One section of the output: the names that select it, its header line
+/// (`{streams}` stands for the stream count), and the body under it.
+struct Experiment {
+    names: &'static [&'static str],
+    title: &'static str,
+    run: fn(&Ctx) -> String,
+}
+
+/// Every experiment, in the order `all` prints them.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        names: &["fig9"],
+        title: "Figure 9: IObench run descriptions",
+        run: |_| fig9_table(),
+    },
+    Experiment {
+        names: &["fig10", "fig11"],
+        title: "Figure 10: IObench transfer rates in KB/second",
+        run: |c| {
+            let data = fig10_run(c.scale, &c.runner);
+            format!(
+                "{}\nFigure 11: IObench transfer rate ratios\n\n{}",
+                fig10_table(&data),
+                fig11_table(&data)
+            )
+        },
+    },
+    Experiment {
+        names: &["fig12"],
+        title: "Figure 12: System CPU comparison",
+        run: |c| fig12_run(c.scale, &c.runner).0,
+    },
+    Experiment {
+        names: &["extents"],
+        title: "Allocator contiguity study",
+        run: |c| extents_run(c.quick, &c.runner).0,
+    },
+    Experiment {
+        names: &["aging"],
+        title: "Clustering decay under aging (UFS vs extentfs)",
+        run: |c| aging_run(c.aging, c.quick, &c.runner).0,
+    },
+    Experiment {
+        names: &["musbus"],
+        title: "MusBus-like timesharing mix",
+        run: |c| {
+            let (table, ratio) = musbus_run(&c.runner);
+            format!("{table}\nold/new iteration-time ratio: {ratio:.2}\n")
+        },
+    },
+    Experiment {
+        names: &["alternatives"],
+        title: "Rejected alternatives",
+        run: |c| rejected_alternatives_run(c.scale, &c.runner),
+    },
+    Experiment {
+        names: &["extentfs"],
+        title: "Extent-based file system vs clustered UFS",
+        run: |c| extentfs_comparison_run(c.scale, &c.runner),
+    },
+    Experiment {
+        names: &["write-limit"],
+        title: "Write-limit sweep",
+        run: |c| write_limit_sweep_run(c.scale, &c.runner),
+    },
+    Experiment {
+        names: &["free-behind"],
+        title: "Free-behind cache survival",
+        run: |c| free_behind_run(c.scale, &c.runner).0,
+    },
+    Experiment {
+        names: &["streams"],
+        title: "Multi-stream fairness ({streams} tagged streams)",
+        run: |c| streams_run(c.nstreams, c.scale, &c.runner),
+    },
+    Experiment {
+        names: &["volume"],
+        title: "RAID volumes: cluster size x stripe width x spindle count",
+        run: |c| volume_run(c.volume.as_ref(), c.scale, &c.runner),
+    },
+    Experiment {
+        names: &["faults"],
+        title: "Fault injection: I/O error path, degraded service, and rebuild",
+        run: |c| faults_run(c.faults.as_ref(), c.volume.as_ref(), c.quick, &c.runner),
+    },
+    Experiment {
+        names: &["readahead"],
+        title: "Adaptive readahead: strided reads vs prefetch policy",
+        run: |c| match c.ra_cell {
+            Some((policy, stride_kb, record_kb)) => {
+                readahead_cell_run(policy, stride_kb, record_kb, c.scale, &c.runner)
+            }
+            None => readahead_run(c.scale, &c.runner),
+        },
+    },
+];
+
+/// `fig9|fig10|...|all`: every name the first argument may take.
+fn experiment_names() -> String {
+    let names = EXPERIMENTS.iter().flat_map(|e| e.names).copied();
+    names.chain(["all"]).collect::<Vec<_>>().join("|")
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: iobench fig9|fig10|fig11|fig12|extents|aging|musbus|alternatives|\
-         extentfs|write-limit|free-behind|streams|volume|faults|readahead|all \
+        "usage: iobench {} \
          [--quick] [--jobs N] [--streams N] [--volume <spec>] \
          [--faults <spec>] \
          [--readahead fixed|adaptive|off] [--stride <bytes>] \
@@ -111,7 +227,8 @@ fn usage() -> ! {
          profiling: --perf writes an iobench-perf/v1 host profile, \
          --timeline an iobench-timeline/v1 sampled-metrics document; \
          --sample-every takes a positive integer with optional us/ms/s \
-         suffix (virtual time, default 10ms) and requires --timeline"
+         suffix (virtual time, default 10ms) and requires --timeline",
+        experiment_names()
     );
     std::process::exit(2);
 }
@@ -331,127 +448,28 @@ fn main() {
     if perf_path.is_some() {
         perfmon::set_enabled(true);
     }
-    let runner = Runner::new(jobs, sink.as_ref());
-
-    let run_fig10 = |runner: &Runner| {
-        let data = fig10_run(scale, runner);
-        println!("Figure 10: IObench transfer rates in KB/second\n");
-        println!("{}", fig10_table(&data));
-        println!("Figure 11: IObench transfer rate ratios\n");
-        println!("{}", fig11_table(&data));
+    let selected: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|e| what == "all" || e.names.contains(&what))
+        .collect();
+    if selected.is_empty() {
+        eprintln!("unknown experiment: {what}");
+        usage();
+    }
+    let ctx = Ctx {
+        scale,
+        quick,
+        nstreams,
+        aging: aging_params,
+        volume: volume_spec,
+        faults: fault_plan,
+        ra_cell,
+        runner: Runner::new(jobs, sink.as_ref()),
     };
-
-    match what {
-        "fig9" => {
-            println!("Figure 9: IObench run descriptions\n");
-            println!("{}", fig9_table());
-        }
-        "fig10" | "fig11" => run_fig10(&runner),
-        "fig12" => {
-            let (table, _, _) = fig12_run(scale, &runner);
-            println!("Figure 12: System CPU comparison\n");
-            println!("{table}");
-        }
-        "extents" => {
-            let (table, _, _) = extents_run(quick, &runner);
-            println!("Allocator contiguity study (paper: 1.5MB best / 62KB aged)\n");
-            println!("{table}");
-        }
-        "aging" => {
-            let (table, _) = aging_run(aging_params, quick, &runner);
-            println!("Clustering decay under aging (UFS vs extentfs)\n");
-            println!("{table}");
-        }
-        "musbus" => {
-            let (table, ratio) = musbus_run(&runner);
-            println!("MusBus-like timesharing mix (expect only slight improvement)\n");
-            println!("{table}");
-            println!("old/new iteration-time ratio: {ratio:.2}");
-        }
-        "alternatives" => {
-            println!("Rejected alternatives (tuning-only, driver clustering)\n");
-            println!("{}", rejected_alternatives_run(scale, &runner));
-        }
-        "extentfs" => {
-            println!("Extent-based file system vs clustered UFS\n");
-            println!("{}", extentfs_comparison_run(scale, &runner));
-        }
-        "write-limit" => {
-            println!("Write-limit sweep (fairness vs throughput)\n");
-            println!("{}", write_limit_sweep_run(scale, &runner));
-        }
-        "free-behind" => {
-            let (table, _, _) = free_behind_run(scale, &runner);
-            println!("Free-behind cache survival\n");
-            println!("{table}");
-        }
-        "streams" => {
-            println!("Multi-stream fairness ({nstreams} tagged streams)\n");
-            println!("{}", streams_run(nstreams, scale, &runner));
-        }
-        "volume" => {
-            println!("RAID volumes: cluster size x stripe width x spindle count\n");
-            println!("{}", volume_run(volume_spec.as_ref(), scale, &runner));
-        }
-        "faults" => {
-            println!("Fault injection: I/O error path, degraded service, and rebuild\n");
-            println!(
-                "{}",
-                faults_run(fault_plan.as_ref(), volume_spec.as_ref(), quick, &runner)
-            );
-        }
-        "readahead" => {
-            println!("Adaptive readahead: strided reads vs prefetch policy\n");
-            match ra_cell {
-                Some((policy, stride_kb, record_kb)) => println!(
-                    "{}",
-                    readahead_cell_run(policy, stride_kb, record_kb, scale, &runner)
-                ),
-                None => println!("{}", readahead_run(scale, &runner)),
-            }
-        }
-        "all" => {
-            println!("Figure 9: IObench run descriptions\n");
-            println!("{}", fig9_table());
-            run_fig10(&runner);
-            let (t12, _, _) = fig12_run(scale, &runner);
-            println!("Figure 12: System CPU comparison\n");
-            println!("{t12}");
-            let (tx, _, _) = extents_run(quick, &runner);
-            println!("Allocator contiguity study\n");
-            println!("{tx}");
-            let (ta, _) = aging_run(aging_params, quick, &runner);
-            println!("Clustering decay under aging (UFS vs extentfs)\n");
-            println!("{ta}");
-            let (tm, r) = musbus_run(&runner);
-            println!("MusBus-like timesharing mix\n");
-            println!("{tm}");
-            println!("old/new iteration-time ratio: {r:.2}\n");
-            println!("Rejected alternatives\n");
-            println!("{}", rejected_alternatives_run(scale, &runner));
-            println!("Extent-based file system vs clustered UFS\n");
-            println!("{}", extentfs_comparison_run(scale, &runner));
-            println!("Write-limit sweep\n");
-            println!("{}", write_limit_sweep_run(scale, &runner));
-            let (tf, _, _) = free_behind_run(scale, &runner);
-            println!("Free-behind cache survival\n");
-            println!("{tf}");
-            println!("Multi-stream fairness ({nstreams} tagged streams)\n");
-            println!("{}", streams_run(nstreams, scale, &runner));
-            println!("RAID volumes: cluster size x stripe width x spindle count\n");
-            println!("{}", volume_run(volume_spec.as_ref(), scale, &runner));
-            println!("Fault injection: I/O error path, degraded service, and rebuild\n");
-            println!(
-                "{}",
-                faults_run(fault_plan.as_ref(), volume_spec.as_ref(), quick, &runner)
-            );
-            println!("Adaptive readahead: strided reads vs prefetch policy\n");
-            println!("{}", readahead_run(scale, &runner));
-        }
-        other => {
-            eprintln!("unknown experiment: {other}");
-            usage();
-        }
+    for e in selected {
+        let title = e.title.replace("{streams}", &ctx.nstreams.to_string());
+        println!("{title}\n");
+        println!("{}", (e.run)(&ctx));
     }
 
     if let (Some(path), Some(sink)) = (&stats_path, &sink) {

@@ -1,8 +1,9 @@
 //! The Figure 9 run matrix and full-scale world construction.
 
 use clufs::Tuning;
-use diskmodel::DiskParams;
-use pagecache::PageCacheParams;
+use diskmodel::{DiskParams, SharedDevice};
+use extentfs::{ExtentFs, ExtentFsParams};
+use pagecache::{PageCacheParams, PageoutParams};
 use simkit::Sim;
 use ufs::{build_world, MkfsOptions, UfsParams, World};
 use vfs::FsResult;
@@ -130,6 +131,26 @@ pub async fn paper_world(sim: &Sim, tuning: Tuning, opts: WorldOptions) -> FsRes
         )
         .await
     }
+}
+
+/// The comparator on the same machine: extentfs with room for `ninodes`
+/// files on `disk`, under the 8 MB of memory and the pageout daemon
+/// [`paper_world`] gives UFS.
+pub fn paper_ext_world(
+    sim: &Sim,
+    disk: SharedDevice,
+    ninodes: u32,
+    params: ExtentFsParams,
+) -> vfs::World<ExtentFs> {
+    extentfs::build_world_on(
+        sim,
+        disk,
+        PageCacheParams::sparcstation_8mb(),
+        PageoutParams::sparcstation(),
+        ninodes,
+        params,
+    )
+    .expect("format")
 }
 
 #[cfg(test)]

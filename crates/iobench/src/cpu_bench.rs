@@ -37,7 +37,7 @@ pub async fn mmap_read_cpu(
             .await?;
     }
     f.fsync().await?;
-    world.cache.invalidate_vnode(f.id(), 0);
+    world.invalidate(&f);
 
     let cpu0 = world.cpu.busy();
     let t0 = sim.now();

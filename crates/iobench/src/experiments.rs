@@ -4,23 +4,24 @@
 
 use clufs::Tuning;
 use diskmodel::{Disk, DiskParams};
-use pagecache::{PageCache, PageCacheParams, PageoutDaemon, PageoutParams};
-use simkit::{Cpu, Sim};
-use vfs::{FileSystem, Vnode};
+use pagecache::{PageCacheParams, PageoutParams};
+use simkit::Sim;
+use vfs::{FileSystem, World};
 
 use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::aging::{
     age_filesystem, clustering_decay, probe_extents, AgingOptions, DecayOptions, DecayPoint,
-    ExtAgedWorld,
 };
-use crate::configs::{paper_world, Config, WorldOptions};
+use crate::configs::{paper_ext_world, paper_world, Config, WorldOptions};
 use crate::cpu_bench::mmap_read_cpu;
 use crate::iobench::{run_iobench, BenchOptions, IoKind, Throughput};
 use crate::musbus::{run_musbus, MusbusOptions};
 use crate::report::{kbs, ratio, Table};
 use crate::runner::{RunPlan, Runner};
 use crate::streams::{run_streams, StreamsOptions};
+use crate::{STATS_SCHEMA, TIMELINE_SCHEMA};
 
 /// Collects labeled per-run metrics snapshots (and, with
 /// [`StatsSink::with_tracing`], span traces) during an experiment.
@@ -28,25 +29,10 @@ use crate::streams::{run_streams, StreamsOptions};
 /// Every experiment builds a fresh [`Sim`] (and therefore a fresh metrics
 /// registry) per simulated run via [`StatsSink::sim`]; the driver captures
 /// each run's full registry here, and the `--stats-json` flag serializes
-/// the collection as one document (schema `iobench-stats/v8`, documented in
-/// DESIGN.md "Observability"; v2 added the labelled `base{stream=N}` metric
-/// names, v3 added interpolated `p50`/`p95`/`p99` quantiles to histogram
-/// snapshots, v4 added the `base{spindle=K}` label family emitted by
-/// `volmgr` arrays and the `volume/...` run ids, v5 added the `extentfs.*`
-/// fragmentation gauges — `short_extents`, `mean_extent_blocks`,
-/// `extents_per_file`, `inline_files` — and the `aging/...` run ids, v6
-/// added the telemetry export points: `cache.free_pages`,
-/// `cache.dirty_pages`, `core.throttle_waiting`, and per-spindle
-/// `disk.queue_depth{spindle=K}`, v7 adds the fault-injection and
-/// recovery counters — `fault.injected{kind=media|gone|torn|lost}`,
-/// `io.errors{kind=media|gone}`, `io.retries`, `vol.degraded_reads`,
-/// `vol.rebuild_rows`, `vol.spindle_dead`, the `vol.rebuild_progress`
-/// gauge — and the `faults/...` run ids, v8 adds the prefetch-engine
-/// instrumentation — `io.prefetch_issued`, `io.prefetch_hits`,
-/// `io.prefetch_wasted_bytes`, the `io.prefetch_distance` histogram —
-/// and the `readahead/...` run ids). Snapshots are pure
-/// functions of the virtual-time simulation, so two identical runs produce
-/// byte-identical documents.
+/// the collection as one document (schema [`STATS_SCHEMA`], documented in
+/// DESIGN.md "Observability"). Snapshots are pure functions of the
+/// virtual-time simulation, so two identical runs produce byte-identical
+/// documents.
 #[derive(Default)]
 pub struct StatsSink {
     /// `(run id, registry JSON)` in run order.
@@ -203,7 +189,7 @@ impl StatsSink {
     }
 
     /// Serializes the sampled timelines as the `--timeline` document
-    /// (schema `iobench-timeline/v1`): per run, per metric, sparse
+    /// (schema [`TIMELINE_SCHEMA`]): per run, per metric, sparse
     /// `[virtual_ns, value]` points recorded only on change. A pure
     /// function of the virtual-time runs — byte-identical across
     /// identical invocations and any `--jobs` value.
@@ -236,7 +222,7 @@ impl StatsSink {
             runs.push_str("]}");
         }
         format!(
-            "{{\"schema\":\"iobench-timeline/v1\",\"experiment\":\"{experiment}\",\
+            "{{\"schema\":\"{TIMELINE_SCHEMA}\",\"experiment\":\"{experiment}\",\
              \"sample_every_ns\":{every},\"runs\":[{runs}]}}"
         )
     }
@@ -251,7 +237,7 @@ impl StatsSink {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"schema\":\"iobench-stats/v8\",\"experiment\":\"{experiment}\",\"runs\":[{runs}]}}"
+            "{{\"schema\":\"{STATS_SCHEMA}\",\"experiment\":\"{experiment}\",\"runs\":[{runs}]}}"
         )
     }
 }
@@ -328,22 +314,7 @@ fn fig10_cell_on(sim: &Sim, config: Config, kind: IoKind, scale: RunScale) -> Th
         let w = paper_world(&s, config.tuning(), WorldOptions::default())
             .await
             .expect("world");
-        let cache = w.cache.clone();
-        run_iobench(
-            &s,
-            &w.fs,
-            move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
-            "iobench.dat",
-            kind,
-            BenchOptions {
-                file_bytes: scale.file_bytes,
-                io_bytes: 8192,
-                random_ops: scale.random_ops,
-                seed: 0x1991,
-            },
-        )
-        .await
-        .expect("iobench")
+        measure(&w, "iobench.dat", kind, scale).await
     })
 }
 
@@ -562,14 +533,17 @@ pub fn aging_run(
             let w = paper_world(&s, Tuning::config_a(), opts)
                 .await
                 .expect("world");
-            clustering_decay(&s, &w, &decay_opts).await.expect("decay")
+            // UFS ages a `/home` directory; extentfs is flat.
+            w.fs.mkdir("home").await.expect("mkdir");
+            clustering_decay(&w, "home/", &decay_opts)
+                .await
+                .expect("decay")
         })
     });
     let inline_max = params.inline_max;
     let ext_plan = RunPlan::new("aging/extentfs", move |sim: &Sim| {
         let s = sim.clone();
         sim.run_until(async move {
-            let cpu = Cpu::new(&s);
             let (disk_params, cache_params, pageout_params, ninodes) = if quick {
                 (
                     DiskParams::small_test(),
@@ -585,16 +559,18 @@ pub fn aging_run(
                     2048,
                 )
             };
-            let disk: diskmodel::SharedDevice = std::rc::Rc::new(Disk::new(&s, disk_params));
-            let cache = PageCache::new(&s, cache_params);
-            let (_daemon, rx) = PageoutDaemon::spawn(&s, &cache, Some(cpu.clone()), pageout_params);
-            std::mem::forget(rx);
             let mut fs_params = extentfs::ExtentFsParams::with_extent_blocks(15);
             fs_params.inline_max = inline_max;
-            let fs = extentfs::ExtentFs::format(&s, &cpu, &cache, &disk, ninodes, fs_params)
-                .expect("format");
-            let w = ExtAgedWorld { fs, cache };
-            clustering_decay(&s, &w, &decay_opts).await.expect("decay")
+            let w = extentfs::build_world_on(
+                &s,
+                Rc::new(Disk::new(&s, disk_params)),
+                cache_params,
+                pageout_params,
+                ninodes,
+                fs_params,
+            )
+            .expect("format");
+            clustering_decay(&w, "", &decay_opts).await.expect("decay")
         })
     });
     let mut results = runner.run(vec![ufs_plan, ext_plan]);
@@ -681,7 +657,7 @@ async fn ufs_build(sim: &Sim, disk_params: DiskParams, params: ufs::UfsParams) -
     .expect("world")
 }
 
-fn bench_opts(scale: RunScale) -> BenchOptions {
+pub(crate) fn bench_opts(scale: RunScale) -> BenchOptions {
     BenchOptions {
         file_bytes: scale.file_bytes,
         io_bytes: 8192,
@@ -690,19 +666,17 @@ fn bench_opts(scale: RunScale) -> BenchOptions {
     }
 }
 
-async fn measure_ufs(sim: &Sim, w: &ufs::World, kind: IoKind, scale: RunScale) -> f64 {
-    let cache = w.cache.clone();
-    run_iobench(
-        sim,
-        &w.fs,
-        move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
-        "abl.dat",
-        kind,
-        bench_opts(scale),
-    )
-    .await
-    .expect("iobench")
-    .kb_per_sec()
+/// One IObench workload on `path` at the run's scale, on either file
+/// system.
+pub(crate) async fn measure<F: FileSystem>(
+    w: &World<F>,
+    path: &str,
+    kind: IoKind,
+    scale: RunScale,
+) -> Throughput {
+    run_iobench(w, path, kind, bench_opts(scale))
+        .await
+        .expect("iobench")
 }
 
 /// The rejected "file system tuning" alternative (rotdelay 0, still
@@ -720,7 +694,7 @@ pub fn rejected_alternatives_run(scale: RunScale, runner: &Runner) -> String {
                         ..DiskParams::sun0424()
                     };
                     let w = custom_disk_world(&s, tuning, dp).await;
-                    measure_ufs(&s, &w, kind, scale).await
+                    measure(&w, "abl.dat", kind, scale).await.kb_per_sec()
                 })
             },
         )
@@ -767,38 +741,13 @@ pub fn extentfs_comparison_run(scale: RunScale, runner: &Runner) -> String {
             move |sim: &Sim| {
                 let s = sim.clone();
                 sim.run_until(async move {
-                    let cpu = Cpu::new(&s);
-                    let disk: diskmodel::SharedDevice =
-                        std::rc::Rc::new(Disk::new(&s, DiskParams::sun0424()));
-                    let cache = PageCache::new(&s, PageCacheParams::sparcstation_8mb());
-                    let (_daemon, rx) = PageoutDaemon::spawn(
+                    let w = paper_ext_world(
                         &s,
-                        &cache,
-                        Some(cpu.clone()),
-                        PageoutParams::sparcstation(),
-                    );
-                    std::mem::forget(rx);
-                    let fs = extentfs::ExtentFs::format(
-                        &s,
-                        &cpu,
-                        &cache,
-                        &disk,
+                        Rc::new(Disk::new(&s, DiskParams::sun0424())),
                         256,
                         extentfs::ExtentFsParams::with_extent_blocks(extent_blocks),
-                    )
-                    .expect("format");
-                    let cache2 = cache.clone();
-                    run_iobench(
-                        &s,
-                        &fs,
-                        move |f: &extentfs::ExtFile| cache2.invalidate_vnode(f.id(), 0),
-                        "ext.dat",
-                        kind,
-                        bench_opts(scale),
-                    )
-                    .await
-                    .expect("iobench")
-                    .kb_per_sec()
+                    );
+                    measure(&w, "ext.dat", kind, scale).await.kb_per_sec()
                 })
             },
         )
@@ -812,7 +761,7 @@ pub fn extentfs_comparison_run(scale: RunScale, runner: &Runner) -> String {
                     let w = paper_world(&s, tuning, WorldOptions::default())
                         .await
                         .expect("world");
-                    measure_ufs(&s, &w, kind, scale).await
+                    measure(&w, "abl.dat", kind, scale).await.kb_per_sec()
                 })
             },
         )
@@ -861,7 +810,9 @@ pub fn write_limit_sweep_run(scale: RunScale, runner: &Runner) -> String {
                 let w = paper_world(&s, tuning, WorldOptions::default())
                     .await
                     .expect("world");
-                let rate = measure_ufs(&s, &w, IoKind::RandUpdate, scale).await;
+                let rate = measure(&w, "abl.dat", IoKind::RandUpdate, scale)
+                    .await
+                    .kb_per_sec();
                 let stalls = w.cache.stats().alloc_stalls;
                 (rate, stalls)
             })
@@ -943,17 +894,7 @@ pub fn free_behind_run(scale: RunScale, runner: &Runner) -> (String, usize, usiz
                     });
                 }
                 // The streaming read: bigger than memory.
-                let cache = w.cache.clone();
-                run_iobench(
-                    &s,
-                    &w.fs,
-                    move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
-                    "stream.dat",
-                    IoKind::SeqRead,
-                    bench_opts(scale),
-                )
-                .await
-                .expect("stream");
+                measure(&w, "stream.dat", IoKind::SeqRead, scale).await;
                 stop.set(true);
                 let survivors = w.cache.resident_of(hot_id);
                 let scans = w.daemon.stats().scanned;
@@ -1005,11 +946,8 @@ pub fn streams_run(streams: u32, scale: RunScale, runner: &Runner) -> String {
             let w = paper_world(&s, Tuning::config_a(), WorldOptions::default())
                 .await
                 .expect("world");
-            let cache = w.cache.clone();
             run_streams(
-                &s,
-                &w.fs,
-                move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
+                &w,
                 StreamsOptions {
                     streams,
                     file_bytes: per_stream_bytes,

@@ -33,10 +33,10 @@ use std::rc::Rc;
 
 use clufs::Tuning;
 use diskmodel::{Disk, DiskParams, FaultDevice, FaultPlan, SharedDevice};
-use pagecache::{PageCache, PageCacheParams, PageoutDaemon, PageoutParams};
-use simkit::{Cpu, Sim, SimTime};
+use pagecache::{PageCacheParams, PageoutParams};
+use simkit::{Sim, SimTime};
 use ufs::{build_world_on, fsck, MkfsOptions, UfsParams};
-use vfs::{AccessMode, FileSystem, Vnode};
+use vfs::{AccessMode, FileSystem, Vnode, World};
 use volmgr::{RaidLevel, SpindleState, Volume, VolumeSpec};
 
 use crate::report::{kbs, Table};
@@ -131,15 +131,15 @@ type Sample = (SimTime, u64, bool);
 
 /// One full sequential re-read of the file, integrity-checking every
 /// block. Invalidates the cache first so the array actually serves it.
-async fn read_pass<F: FileSystem, I: Fn(&F::File)>(
-    sim: &Sim,
+async fn read_pass<F: FileSystem>(
+    w: &World<F>,
     file: &F::File,
-    invalidate: &I,
     nblocks: u64,
     samples: &mut Vec<Sample>,
     mismatches: &mut u64,
 ) {
-    invalidate(file);
+    let sim = &w.sim;
+    w.invalidate(file);
     let mut buf = vec![0u8; BLOCK];
     for i in 0..nblocks {
         let t = sim.now();
@@ -165,16 +165,14 @@ fn spare(sim: &Sim, k: u32) -> SharedDevice {
 
 /// Runs the measured passes and the fault episode for one mounted cell.
 /// Returns the samples, episode timestamps, and mismatch count.
-#[allow(clippy::too_many_arguments)]
 async fn drive_passes<F: FileSystem>(
-    sim: &Sim,
-    fs: &F,
-    invalidate: impl Fn(&F::File),
+    w: &World<F>,
     vol: &Volume,
     faults: &[FaultDevice],
     scenario: &Scenario,
     quick: bool,
 ) -> (Vec<Sample>, Events, u64) {
+    let (sim, fs) = (&w.sim, &w.fs);
     let nblocks = if quick { BLOCKS_QUICK } else { BLOCKS_FULL };
     let (h, d, r) = if quick { PASSES_QUICK } else { PASSES_FULL };
 
@@ -192,15 +190,7 @@ async fn drive_passes<F: FileSystem>(
     let mut ev = Events::default();
     macro_rules! pass {
         () => {
-            read_pass::<F, _>(
-                sim,
-                &file,
-                &invalidate,
-                nblocks,
-                &mut samples,
-                &mut mismatches,
-            )
-            .await
+            read_pass(w, &file, nblocks, &mut samples, &mut mismatches).await
         };
     }
 
@@ -359,6 +349,23 @@ fn build_array(
     (Volume::with_children(sim, spec, members), faults)
 }
 
+/// The measured part of a cell, the same on either file system: the
+/// passes and the fault episode on the mounted machine `w`, bucketed into
+/// phases. Returns `(phases, mismatches, reads)`.
+async fn run_episode<F: FileSystem>(
+    w: &World<F>,
+    vol: &Volume,
+    faults: &[FaultDevice],
+    scenario: &Scenario,
+    quick: bool,
+) -> (Vec<PhaseStats>, u64, usize) {
+    let t0 = w.sim.now();
+    let (samples, ev, mism) = drive_passes(w, vol, faults, scenario, quick).await;
+    let end = w.sim.now();
+    let striped = matches!(scenario, Scenario::Striped);
+    (bucket(&samples, t0, end, ev, striped), mism, samples.len())
+}
+
 /// Runs one (array × file system) cell on its own sim and reports it.
 fn run_cell(
     sim: &Sim,
@@ -368,7 +375,7 @@ fn run_cell(
     quick: bool,
 ) -> FaultCell {
     let s = sim.clone();
-    let (phases, mismatches, reads, integrity) = sim.run_until(async move {
+    let ((phases, mismatches, reads), integrity) = sim.run_until(async move {
         let (vol, faults) = build_array(&s, &spec, plan.as_ref());
         let disk: SharedDevice = Rc::new(vol.clone());
         let scenario = match (&plan, spec.level) {
@@ -380,6 +387,8 @@ fn run_cell(
             (None, RaidLevel::Raid0) => Scenario::Striped,
             (None, _) => Scenario::Redundant,
         };
+        // What differs per file system is the machine's construction and
+        // the integrity verdict at the end.
         if on_ufs {
             let w = build_world_on(
                 &s,
@@ -390,19 +399,7 @@ fn run_cell(
             )
             .await
             .expect("ufs world");
-            let t0 = s.now();
-            let cache = w.cache.clone();
-            let (samples, ev, mism) = drive_passes(
-                &s,
-                &w.fs,
-                move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
-                &vol,
-                &faults,
-                &scenario,
-                quick,
-            )
-            .await;
-            let end = s.now();
+            let measured = run_episode(&w, &vol, &faults, &scenario, quick).await;
             // Clean unmount, then the structured fsck verdict straight off
             // the (possibly rebuilt) array.
             w.fs.unmount().await.expect("unmount");
@@ -414,54 +411,25 @@ fn run_cell(
                 report.unfixable.len(),
                 if report.is_clean() { "clean" } else { "DIRTY" }
             );
-            let n = samples.len();
-            (
-                bucket(&samples, t0, end, ev, matches!(scenario, Scenario::Striped)),
-                mism,
-                n,
-                integrity,
-            )
+            (measured, integrity)
         } else {
-            let cpu = Cpu::new(&s);
-            let cache = PageCache::new(&s, PageCacheParams::small_test());
-            let (_daemon, rx) =
-                PageoutDaemon::spawn(&s, &cache, Some(cpu.clone()), PageoutParams::small_test());
-            std::mem::forget(rx);
-            let fs = extentfs::ExtentFs::format(
+            let w = extentfs::build_world_on(
                 &s,
-                &cpu,
-                &cache,
-                &disk,
+                disk,
+                PageCacheParams::small_test(),
+                PageoutParams::small_test(),
                 64,
                 extentfs::ExtentFsParams::with_extent_blocks(15),
             )
             .expect("format");
-            let t0 = s.now();
-            let cache2 = cache.clone();
-            let (samples, ev, mism) = drive_passes(
-                &s,
-                &fs,
-                move |f: &extentfs::ExtFile| cache2.invalidate_vnode(f.id(), 0),
-                &vol,
-                &faults,
-                &scenario,
-                quick,
-            )
-            .await;
-            let end = s.now();
-            let problems = fs.check();
+            let measured = run_episode(&w, &vol, &faults, &scenario, quick).await;
+            let problems = w.fs.check();
             let integrity = if problems.is_empty() {
                 "check: clean".to_string()
             } else {
                 format!("check: {} problem(s)", problems.len())
             };
-            let n = samples.len();
-            (
-                bucket(&samples, t0, end, ev, matches!(scenario, Scenario::Striped)),
-                mism,
-                n,
-                integrity,
-            )
+            (measured, integrity)
         }
     });
     let st = sim.stats();

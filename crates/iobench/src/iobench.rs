@@ -9,8 +9,8 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use simkit::{Sim, SimDuration, SimTime};
-use vfs::{AccessMode, FileSystem, FsResult, Vnode};
+use simkit::{SimDuration, SimTime};
+use vfs::{AccessMode, FileSystem, FsResult, Vnode, World};
 
 /// The five workload types of Figures 10/11.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,17 +107,16 @@ fn random_blocks(nio: usize, ops: usize, seed: u64) -> Vec<u64> {
     blocks
 }
 
-/// Runs one IObench workload against `path` on `fs` and returns the
-/// measured rate. The file is created/prepared as the workload requires;
-/// preparation is excluded from the measurement.
+/// Runs one IObench workload against `path` on the machine `w` and
+/// returns the measured rate. The file is created/prepared as the workload
+/// requires; preparation is excluded from the measurement.
 pub async fn run_iobench<F: FileSystem>(
-    sim: &Sim,
-    fs: &F,
-    invalidate: impl Fn(&F::File),
+    w: &World<F>,
     path: &str,
     kind: IoKind,
     opts: BenchOptions,
 ) -> FsResult<Throughput> {
+    let (sim, fs) = (&w.sim, &w.fs);
     let payload: Vec<u8> = (0..opts.io_bytes).map(|i| (i % 251) as u8).collect();
     let nio = (opts.file_bytes / opts.io_bytes as u64) as usize;
 
@@ -136,7 +135,7 @@ pub async fn run_iobench<F: FileSystem>(
         }
     };
     match kind {
-        IoKind::SeqRead | IoKind::RandRead => invalidate(&file),
+        IoKind::SeqRead | IoKind::RandRead => w.invalidate(&file),
         _ => {}
     }
 
@@ -202,7 +201,7 @@ pub struct StrideOptions {
     pub io_bytes: usize,
 }
 
-/// Runs a strided read against `path` on `fs`: `record_bytes` are read at
+/// Runs a strided read against `path` on `w`: `record_bytes` are read at
 /// every `stride_bytes` boundary (the fixed access pattern of scientific
 /// codes and column scans that defeats a sequential-only predictor). The
 /// file is written and evicted first; preparation is excluded from the
@@ -210,12 +209,11 @@ pub struct StrideOptions {
 /// speculative reads that never got used are charged to
 /// `io.prefetch_wasted_bytes` before the run's registry is snapshotted.
 pub async fn run_strided_read<F: FileSystem>(
-    sim: &Sim,
-    fs: &F,
-    invalidate: impl Fn(&F::File),
+    w: &World<F>,
     path: &str,
     opts: StrideOptions,
 ) -> FsResult<Throughput> {
+    let (sim, fs) = (&w.sim, &w.fs);
     assert!(opts.record_bytes >= opts.io_bytes as u64);
     assert!(opts.stride_bytes >= opts.record_bytes);
     let payload: Vec<u8> = (0..opts.io_bytes).map(|i| (i % 251) as u8).collect();
@@ -228,7 +226,7 @@ pub async fn run_strided_read<F: FileSystem>(
             .await?;
     }
     file.fsync().await?;
-    invalidate(&file);
+    w.invalidate(&file);
 
     // ---- measured phase ----
     let mut buf = vec![0u8; opts.io_bytes];
@@ -248,7 +246,7 @@ pub async fn run_strided_read<F: FileSystem>(
     // Let in-flight speculative fills complete (virtual time) so the final
     // invalidate never meets a busy page, then retire the stragglers.
     sim.sleep(SimDuration::from_secs(2)).await;
-    invalidate(&file);
+    w.invalidate(&file);
     Ok(Throughput {
         bytes: total,
         elapsed,
@@ -259,6 +257,7 @@ pub async fn run_strided_read<F: FileSystem>(
 mod tests {
     use super::*;
     use crate::configs::{paper_world, Config, WorldOptions};
+    use simkit::Sim;
 
     fn small_opts() -> BenchOptions {
         BenchOptions {
@@ -280,19 +279,9 @@ mod tests {
             };
             let w = paper_world(&s, Config::A.tuning(), opts).await.unwrap();
             for kind in IoKind::all() {
-                let cache = w.cache.clone();
-                let t = run_iobench(
-                    &s,
-                    &w.fs,
-                    move |f: &ufs::UfsFile| {
-                        cache.invalidate_vnode(vfs::Vnode::id(f), 0);
-                    },
-                    &format!("bench-{}", kind.label()),
-                    kind,
-                    small_opts(),
-                )
-                .await
-                .unwrap();
+                let t = run_iobench(&w, &format!("bench-{}", kind.label()), kind, small_opts())
+                    .await
+                    .unwrap();
                 assert!(t.kb_per_sec() > 0.0, "{}: zero throughput", kind.label());
                 w.fs.remove(&format!("bench-{}", kind.label()))
                     .await
@@ -311,29 +300,13 @@ mod tests {
                 ..WorldOptions::default()
             };
             let wa = paper_world(&s, Config::A.tuning(), opts).await.unwrap();
-            let ca = wa.cache.clone();
-            let a = run_iobench(
-                &s,
-                &wa.fs,
-                move |f: &ufs::UfsFile| ca.invalidate_vnode(vfs::Vnode::id(f), 0),
-                "f",
-                IoKind::SeqRead,
-                small_opts(),
-            )
-            .await
-            .unwrap();
+            let a = run_iobench(&wa, "f", IoKind::SeqRead, small_opts())
+                .await
+                .unwrap();
             let wd = paper_world(&s, Config::D.tuning(), opts).await.unwrap();
-            let cd = wd.cache.clone();
-            let d = run_iobench(
-                &s,
-                &wd.fs,
-                move |f: &ufs::UfsFile| cd.invalidate_vnode(vfs::Vnode::id(f), 0),
-                "f",
-                IoKind::SeqRead,
-                small_opts(),
-            )
-            .await
-            .unwrap();
+            let d = run_iobench(&wd, "f", IoKind::SeqRead, small_opts())
+                .await
+                .unwrap();
             (a.kb_per_sec(), d.kb_per_sec())
         });
         assert!(

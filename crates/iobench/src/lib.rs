@@ -48,7 +48,14 @@ pub mod streams;
 pub mod traceout;
 pub mod volume;
 
-pub use configs::{paper_world, Config, WorldOptions};
+/// Schema tag of the `--stats-json` document (DESIGN.md "Observability").
+pub const STATS_SCHEMA: &str = "iobench-stats/v8";
+/// Schema tag of the `--timeline` document.
+pub const TIMELINE_SCHEMA: &str = "iobench-timeline/v1";
+/// Schema tag of the `--perf` document.
+pub const PERF_SCHEMA: &str = "iobench-perf/v1";
+
+pub use configs::{paper_ext_world, paper_world, Config, WorldOptions};
 pub use faults::{faults_data, faults_run, FaultCell, PhaseStats};
 pub use iobench::{run_iobench, run_strided_read, IoKind, StrideOptions, Throughput};
 pub use readahead::{readahead_data, readahead_run, RaCell, RaData};

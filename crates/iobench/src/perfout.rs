@@ -27,6 +27,8 @@ use std::fmt::Write as _;
 use simkit::perfmon::{PhaseRecord, MAIN_THREAD};
 use simkit::SimDuration;
 
+use crate::PERF_SCHEMA;
+
 /// Top-level phases whose per-worker sum defines attribution coverage.
 /// Everything else is either the container (`worker.lifetime`), nested
 /// (`world.build`), overlapping main-thread work, or a lock wait.
@@ -145,7 +147,7 @@ impl HostProfile {
     }
 
     /// Serializes the profile as the `--perf` document (schema
-    /// `iobench-perf/v1`). Wall-clock values are inherently
+    /// [`PERF_SCHEMA`]). Wall-clock values are inherently
     /// run-to-run variable; this document is diagnostic, not part of the
     /// byte-identity surface.
     pub fn to_json(&self, experiment: &str, jobs: usize) -> String {
@@ -187,7 +189,7 @@ impl HostProfile {
             let _ = write!(runs, "{{\"id\":\"{label}\",\"drive_ns\":{ns}}}");
         }
         format!(
-            "{{\"schema\":\"iobench-perf/v1\",\"experiment\":\"{experiment}\",\"jobs\":{jobs},\
+            "{{\"schema\":\"{PERF_SCHEMA}\",\"experiment\":\"{experiment}\",\"jobs\":{jobs},\
              \"coverage\":{},\"dropped_records\":{},\"workers\":[{workers}],\
              \"phases\":[{phases}],\"runs\":[{runs}]}}",
             json_f64(self.coverage),
@@ -341,7 +343,7 @@ mod tests {
         assert!((p.coverage - 0.98).abs() < 1e-9, "coverage {}", p.coverage);
         assert_eq!(p.runs, vec![("fig10/A/FSR".to_string(), 75)]);
         let json = p.to_json("fig10", 4);
-        assert!(json.contains("\"schema\":\"iobench-perf/v1\""));
+        assert!(json.contains(&format!("\"schema\":\"{PERF_SCHEMA}\"")));
         assert!(json.contains("\"jobs\":4"));
         assert!(json.contains("\"worker\":0"));
         assert!(json.contains("\"id\":\"fig10/A/FSR\",\"drive_ns\":75"));

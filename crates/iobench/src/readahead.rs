@@ -11,12 +11,11 @@
 
 use clufs::{PrefetchPolicy, Tuning};
 use diskmodel::DiskParams;
-use pagecache::{PageCache, PageCacheParams, PageoutDaemon, PageoutParams};
-use simkit::{Cpu, Sim};
-use vfs::Vnode;
+use simkit::Sim;
+use vfs::{FileSystem, World};
 use volmgr::VolumeSpec;
 
-use crate::configs::{paper_world, WorldOptions};
+use crate::configs::{paper_ext_world, paper_world, WorldOptions};
 use crate::experiments::RunScale;
 use crate::iobench::{run_strided_read, StrideOptions};
 use crate::report::{kbs, ratio, Table};
@@ -104,71 +103,66 @@ fn counters(sim: &Sim, kbs: f64) -> RaCell {
     }
 }
 
-/// One clustered-UFS cell (config A placement, selected policy).
-fn ufs_cell(
+/// The file systems compared, in table order: clustered UFS (config A
+/// placement) on one drive, extentfs (120 KB extents) on a two-way stripe.
+const FS_LABELS: [(&str, &str); 2] = [("ufs-A", "clustered UFS"), ("ext-raid0", "extentfs raid0")];
+
+async fn strided<F: FileSystem>(w: &World<F>, opts: StrideOptions) -> f64 {
+    run_strided_read(w, "stride.dat", opts)
+        .await
+        .expect("strided read")
+        .kb_per_sec()
+}
+
+/// One cell: file system `fs` (an index into [`FS_LABELS`]) under the
+/// selected policy.
+fn cell(
     sim: &Sim,
+    fs: usize,
     policy: PrefetchPolicy,
     stride_kb: u64,
     record_kb: u64,
     scale: RunScale,
 ) -> RaCell {
     let s = sim.clone();
+    let opts = stride_opts(scale, stride_kb, record_kb);
     let kbs = sim.run_until(async move {
-        let tuning = Tuning {
-            prefetch: policy,
-            ..Tuning::config_a()
-        };
-        let w = paper_world(&s, tuning, WorldOptions::default())
-            .await
-            .expect("world");
-        let cache = w.cache.clone();
-        run_strided_read(
-            &s,
-            &w.fs,
-            move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
-            "stride.dat",
-            stride_opts(scale, stride_kb, record_kb),
-        )
-        .await
-        .expect("strided read")
-        .kb_per_sec()
+        if fs == 0 {
+            let tuning = Tuning {
+                prefetch: policy,
+                ..Tuning::config_a()
+            };
+            let w = paper_world(&s, tuning, WorldOptions::default())
+                .await
+                .expect("world");
+            strided(&w, opts).await
+        } else {
+            let spec = VolumeSpec::parse("raid0:2:64k").expect("built-in spec");
+            let mut params = extentfs::ExtentFsParams::with_extent_blocks(15);
+            params.prefetch = policy;
+            let disk = volmgr::build(&s, &spec, DiskParams::sun0424());
+            strided(&paper_ext_world(&s, disk, 256, params), opts).await
+        }
     });
     counters(sim, kbs)
 }
 
-/// One extentfs-on-RAID cell (120 KB extents on a two-way stripe).
-fn ext_cell(
-    sim: &Sim,
+/// The run plan for one cell, `readahead/<fs>/<policy>/s<KB>/r<KB>`.
+fn plan(
+    fs: usize,
     policy: PrefetchPolicy,
     stride_kb: u64,
     record_kb: u64,
     scale: RunScale,
-) -> RaCell {
-    let s = sim.clone();
-    let kbs = sim.run_until(async move {
-        let cpu = Cpu::new(&s);
-        let spec = VolumeSpec::parse("raid0:2:64k").expect("built-in spec");
-        let disk = volmgr::build(&s, &spec, DiskParams::sun0424());
-        let cache = PageCache::new(&s, PageCacheParams::sparcstation_8mb());
-        let (_daemon, rx) =
-            PageoutDaemon::spawn(&s, &cache, Some(cpu.clone()), PageoutParams::sparcstation());
-        std::mem::forget(rx);
-        let mut params = extentfs::ExtentFsParams::with_extent_blocks(15);
-        params.prefetch = policy;
-        let fs = extentfs::ExtentFs::format(&s, &cpu, &cache, &disk, 256, params).expect("format");
-        let cache2 = cache.clone();
-        run_strided_read(
-            &s,
-            &fs,
-            move |f: &extentfs::ExtFile| cache2.invalidate_vnode(f.id(), 0),
-            "stride.dat",
-            stride_opts(scale, stride_kb, record_kb),
-        )
-        .await
-        .expect("strided read")
-        .kb_per_sec()
-    });
-    counters(sim, kbs)
+) -> RunPlan<RaCell> {
+    RunPlan::new(
+        format!(
+            "readahead/{}/{}/s{stride_kb}/r{record_kb}",
+            FS_LABELS[fs].0,
+            policy.label()
+        ),
+        move |sim: &Sim| cell(sim, fs, policy, stride_kb, record_kb, scale),
+    )
 }
 
 /// Raw sweep results: `cells[fs][cell][policy]`, fs 0 = UFS, 1 = extentfs.
@@ -178,23 +172,10 @@ pub type RaData = Vec<Vec<Vec<RaCell>>>;
 /// independent runs) across the runner's workers.
 pub fn readahead_data(scale: RunScale, runner: &Runner) -> RaData {
     let mut plans = Vec::new();
-    for fs in 0..2usize {
+    for fs in 0..FS_LABELS.len() {
         for (stride_kb, record_kb) in CELLS {
             for policy in POLICIES {
-                let fs_label = if fs == 0 { "ufs-A" } else { "ext-raid0" };
-                plans.push(RunPlan::new(
-                    format!(
-                        "readahead/{fs_label}/{}/s{stride_kb}/r{record_kb}",
-                        policy.label()
-                    ),
-                    move |sim: &Sim| {
-                        if fs == 0 {
-                            ufs_cell(sim, policy, stride_kb, record_kb, scale)
-                        } else {
-                            ext_cell(sim, policy, stride_kb, record_kb, scale)
-                        }
-                    },
-                ));
+                plans.push(plan(fs, policy, stride_kb, record_kb, scale));
             }
         }
     }
@@ -218,7 +199,7 @@ pub fn readahead_tables(data: &RaData) -> String {
     ]);
     let mut acc = Table::new(&["file system / pattern", "fixed-1", "adaptive"]);
     let mut waste = Table::new(&["file system / pattern", "fixed-1", "adaptive"]);
-    for (fs, fs_label) in ["clustered UFS", "extentfs raid0"].iter().enumerate() {
+    for (fs, (_, fs_label)) in FS_LABELS.iter().enumerate() {
         for (ci, (stride_kb, record_kb)) in CELLS.into_iter().enumerate() {
             let label = if stride_kb == record_kb {
                 format!("{fs_label}, sequential")
@@ -267,23 +248,8 @@ pub fn readahead_cell_run(
     scale: RunScale,
     runner: &Runner,
 ) -> String {
-    let plans = (0..2usize)
-        .map(|fs| {
-            let fs_label = if fs == 0 { "ufs-A" } else { "ext-raid0" };
-            RunPlan::new(
-                format!(
-                    "readahead/{fs_label}/{}/s{stride_kb}/r{record_kb}",
-                    policy.label()
-                ),
-                move |sim: &Sim| {
-                    if fs == 0 {
-                        ufs_cell(sim, policy, stride_kb, record_kb, scale)
-                    } else {
-                        ext_cell(sim, policy, stride_kb, record_kb, scale)
-                    }
-                },
-            )
-        })
+    let plans = (0..FS_LABELS.len())
+        .map(|fs| plan(fs, policy, stride_kb, record_kb, scale))
         .collect();
     let cells = runner.run(plans);
     let mut t = Table::new(&[
@@ -294,7 +260,7 @@ pub fn readahead_cell_run(
         "accuracy",
         "wasted",
     ]);
-    for (fs, cell) in ["clustered UFS", "extentfs raid0"].iter().zip(&cells) {
+    for ((_, fs), cell) in FS_LABELS.iter().zip(&cells) {
         t.row(vec![
             fs.to_string(),
             kbs(cell.kbs),
@@ -321,8 +287,8 @@ mod tests {
         // cluster, so the paper's predictor never hits and the stride
         // detector's record prefetch is pure profit.
         let scale = RunScale::quick();
-        let fixed = ufs_cell(&Sim::new(), PrefetchPolicy::Fixed, 256, 8, scale);
-        let adaptive = ufs_cell(&Sim::new(), PrefetchPolicy::Adaptive, 256, 8, scale);
+        let fixed = cell(&Sim::new(), 0, PrefetchPolicy::Fixed, 256, 8, scale);
+        let adaptive = cell(&Sim::new(), 0, PrefetchPolicy::Adaptive, 256, 8, scale);
         assert!(
             adaptive.kbs >= 1.2 * fixed.kbs,
             "adaptive {:.0} KB/s should beat fixed {:.0} KB/s by 1.2x",
@@ -341,8 +307,8 @@ mod tests {
         // On a pure sequential scan the adaptive engine must not lose to
         // the paper's predictor.
         let scale = RunScale::quick();
-        let fixed = ufs_cell(&Sim::new(), PrefetchPolicy::Fixed, 8, 8, scale);
-        let adaptive = ufs_cell(&Sim::new(), PrefetchPolicy::Adaptive, 8, 8, scale);
+        let fixed = cell(&Sim::new(), 0, PrefetchPolicy::Fixed, 8, 8, scale);
+        let adaptive = cell(&Sim::new(), 0, PrefetchPolicy::Adaptive, 8, 8, scale);
         assert!(
             adaptive.kbs >= 0.95 * fixed.kbs,
             "adaptive {:.0} KB/s regressed sequential vs fixed {:.0} KB/s",
@@ -354,8 +320,8 @@ mod tests {
     #[test]
     fn extentfs_strided_cell_improves_and_counts() {
         let scale = RunScale::quick();
-        let fixed = ext_cell(&Sim::new(), PrefetchPolicy::Fixed, 256, 32, scale);
-        let adaptive = ext_cell(&Sim::new(), PrefetchPolicy::Adaptive, 256, 32, scale);
+        let fixed = cell(&Sim::new(), 1, PrefetchPolicy::Fixed, 256, 32, scale);
+        let adaptive = cell(&Sim::new(), 1, PrefetchPolicy::Adaptive, 256, 32, scale);
         assert!(adaptive.issued > 0, "adaptive issued no prefetch");
         assert!(
             adaptive.kbs >= fixed.kbs,
@@ -367,7 +333,14 @@ mod tests {
 
     #[test]
     fn off_policy_issues_nothing() {
-        let cell = ufs_cell(&Sim::new(), PrefetchPolicy::Off, 64, 8, RunScale::quick());
+        let cell = cell(
+            &Sim::new(),
+            0,
+            PrefetchPolicy::Off,
+            64,
+            8,
+            RunScale::quick(),
+        );
         assert_eq!(cell.issued, 0);
         assert_eq!(cell.hits, 0);
     }

@@ -300,6 +300,6 @@ mod tests {
         let parallel = sampled(4);
         assert_eq!(serial, parallel, "timelines are jobs-invariant");
         assert!(serial.contains("\"t.work\""), "{serial}");
-        assert!(serial.contains("iobench-timeline/v1"));
+        assert!(serial.contains(crate::TIMELINE_SCHEMA));
     }
 }

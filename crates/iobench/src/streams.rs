@@ -9,8 +9,8 @@
 //! the paper's fairness argument: the per-file write limit is what keeps
 //! one fat writer from starving everyone else.
 
-use simkit::{Sim, SimDuration};
-use vfs::{AccessMode, FileSystem, FsResult, Vnode};
+use simkit::SimDuration;
+use vfs::{AccessMode, FileSystem, FsResult, Vnode, World};
 
 /// What one stream does during the measured phase.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -86,22 +86,18 @@ impl StreamRun {
     }
 }
 
-/// Runs `opts.streams` concurrent streams against `fs` and returns each
-/// stream's outcome, in stream-index order.
+/// Runs `opts.streams` concurrent streams on the machine `w` and returns
+/// each stream's outcome, in stream-index order.
 ///
 /// Preparation (creating every file up front — which fixes the stream-id
 /// assignment order — and seeding + cache-invalidating the readers' files)
 /// is excluded from the measurement.
-pub async fn run_streams<F>(
-    sim: &Sim,
-    fs: &F,
-    invalidate: impl Fn(&F::File),
-    opts: StreamsOptions,
-) -> FsResult<Vec<StreamRun>>
+pub async fn run_streams<F>(w: &World<F>, opts: StreamsOptions) -> FsResult<Vec<StreamRun>>
 where
     F: FileSystem,
     F::File: 'static,
 {
+    let (sim, fs) = (&w.sim, &w.fs);
     let payload: Vec<u8> = (0..opts.io_bytes).map(|i| (i % 251) as u8).collect();
     let nio = (opts.file_bytes / opts.io_bytes as u64) as usize;
 
@@ -117,7 +113,7 @@ where
                     .await?;
             }
             f.fsync().await?;
-            invalidate(&f);
+            w.invalidate(&f);
         }
         files.push((name, role, f));
     }
@@ -172,6 +168,7 @@ where
 mod tests {
     use super::*;
     use crate::configs::{paper_world, Config, WorldOptions};
+    use simkit::Sim;
 
     #[test]
     fn streams_interleave_and_tag() {
@@ -183,11 +180,8 @@ mod tests {
                 ..WorldOptions::default()
             };
             let w = paper_world(&s, Config::A.tuning(), opts).await.unwrap();
-            let cache = w.cache.clone();
             run_streams(
-                &s,
-                &w.fs,
-                move |f: &ufs::UfsFile| cache.invalidate_vnode(vfs::Vnode::id(f), 0),
+                &w,
                 StreamsOptions {
                     streams: 4,
                     file_bytes: 512 * 1024,

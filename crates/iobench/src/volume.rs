@@ -12,14 +12,14 @@
 
 use clufs::{Tuning, BLOCK_SIZE};
 use diskmodel::DiskParams;
-use pagecache::{PageCache, PageCacheParams, PageoutDaemon, PageoutParams};
-use simkit::{Cpu, Sim};
+use pagecache::PageCacheParams;
+use simkit::Sim;
 use ufs::{build_world_on, MkfsOptions, UfsParams, World};
-use vfs::Vnode;
 use volmgr::VolumeSpec;
 
-use crate::experiments::RunScale;
-use crate::iobench::{run_iobench, BenchOptions, IoKind};
+use crate::configs::paper_ext_world;
+use crate::experiments::{measure, RunScale};
+use crate::iobench::IoKind;
 use crate::report::{kbs, ratio, Table};
 use crate::runner::{RunPlan, Runner};
 
@@ -90,69 +90,34 @@ async fn volume_world(sim: &Sim, spec: &VolumeSpec, cluster_kb: u32) -> World {
     .expect("volume world")
 }
 
-fn bench_opts(scale: RunScale) -> BenchOptions {
-    BenchOptions {
-        file_bytes: scale.file_bytes,
-        io_bytes: 8192,
-        random_ops: scale.random_ops,
-        seed: 0x1991,
-    }
-}
-
-/// One UFS-on-array cell, in KB/s.
-fn ufs_cell(sim: &Sim, spec: &VolumeSpec, cluster_kb: u32, kind: IoKind, scale: RunScale) -> f64 {
+/// One array cell, in KB/s: UFS at `cluster_kb`, or with `None` extentfs
+/// at 120 KB extents (the paper's best).
+fn cell(
+    sim: &Sim,
+    spec: VolumeSpec,
+    cluster_kb: Option<u32>,
+    kind: IoKind,
+    scale: RunScale,
+) -> f64 {
     let s = sim.clone();
-    let spec = *spec;
-    sim.run_until(async move {
-        let w = volume_world(&s, &spec, cluster_kb).await;
-        let cache = w.cache.clone();
-        run_iobench(
-            &s,
-            &w.fs,
-            move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
-            "vol.dat",
-            kind,
-            bench_opts(scale),
-        )
-        .await
-        .expect("iobench")
-        .kb_per_sec()
-    })
-}
-
-/// One extentfs-on-array cell (120 KB extents, the paper's best), in KB/s.
-fn ext_cell(sim: &Sim, spec: &VolumeSpec, kind: IoKind, scale: RunScale) -> f64 {
-    let s = sim.clone();
-    let spec = *spec;
-    sim.run_until(async move {
-        let cpu = Cpu::new(&s);
-        let disk = volmgr::build(&s, &spec, DiskParams::sun0424());
-        let cache = PageCache::new(&s, PageCacheParams::sparcstation_8mb());
-        let (_daemon, rx) =
-            PageoutDaemon::spawn(&s, &cache, Some(cpu.clone()), PageoutParams::sparcstation());
-        std::mem::forget(rx);
-        let fs = extentfs::ExtentFs::format(
-            &s,
-            &cpu,
-            &cache,
-            &disk,
-            256,
-            extentfs::ExtentFsParams::with_extent_blocks(15),
-        )
-        .expect("format");
-        let cache2 = cache.clone();
-        run_iobench(
-            &s,
-            &fs,
-            move |f: &extentfs::ExtFile| cache2.invalidate_vnode(f.id(), 0),
-            "vol.dat",
-            kind,
-            bench_opts(scale),
-        )
-        .await
-        .expect("iobench")
-        .kb_per_sec()
-    })
+    let rate = sim.run_until(async move {
+        match cluster_kb {
+            Some(kb) => {
+                let w = volume_world(&s, &spec, kb).await;
+                measure(&w, "vol.dat", kind, scale).await
+            }
+            None => {
+                let w = paper_ext_world(
+                    &s,
+                    volmgr::build(&s, &spec, DiskParams::sun0424()),
+                    256,
+                    extentfs::ExtentFsParams::with_extent_blocks(15),
+                );
+                measure(&w, "vol.dat", kind, scale).await
+            }
+        }
+    });
+    rate.kb_per_sec()
 }
 
 /// Raw sweep results, for tests and EXPERIMENTS.md.
@@ -173,7 +138,7 @@ pub fn volume_data(sweep: &VolumeSweep, scale: RunScale, runner: &Runner) -> Vol
                 let sp = *sp;
                 plans.push(RunPlan::new(
                     format!("volume/{sp}/c{kb}k/{}", kind.label()),
-                    move |sim: &Sim| ufs_cell(sim, &sp, kb, kind, scale),
+                    move |sim: &Sim| cell(sim, sp, Some(kb), kind, scale),
                 ));
             }
         }
@@ -183,7 +148,7 @@ pub fn volume_data(sweep: &VolumeSweep, scale: RunScale, runner: &Runner) -> Vol
             let sp = *sp;
             plans.push(RunPlan::new(
                 format!("volume/{sp}/ext/{}", kind.label()),
-                move |sim: &Sim| ext_cell(sim, &sp, kind, scale),
+                move |sim: &Sim| cell(sim, sp, None, kind, scale),
             ));
         }
     }

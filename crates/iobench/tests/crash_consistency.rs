@@ -15,8 +15,8 @@ use std::rc::Rc;
 use clufs::Tuning;
 use diskmodel::fault::SpindleFaults;
 use diskmodel::{BlockDeviceExt, Disk, DiskParams, FaultDevice, SharedDevice};
-use extentfs::{ExtentFs, ExtentFsParams};
-use pagecache::{PageCache, PageCacheParams};
+use extentfs::ExtentFsParams;
+use pagecache::{PageCache, PageCacheParams, PageoutParams};
 use simkit::{Cpu, Sim, SimDuration, SimRng, SimTime};
 use ufs::{build_world_on, fsck, fsck_repair, MkfsOptions, Ufs, UfsParams};
 use vfs::{AccessMode, FileSystem, Vnode};
@@ -156,8 +156,6 @@ fn ufs_recovers_from_power_cuts_at_many_times() {
 /// in-memory metadata must stay internally consistent throughout.
 fn extentfs_round(case: u64, die_offset: SimDuration) {
     let sim = Sim::new();
-    let cpu = Cpu::new(&sim);
-    let cache = PageCache::new(&sim, PageCacheParams::small_test());
     let base: SharedDevice = Rc::new(Disk::new(&sim, DiskParams::small_test()));
     // Death is scheduled relative to t=0; format happens first, so early
     // offsets exercise death during metadata traffic as well.
@@ -171,16 +169,16 @@ fn extentfs_round(case: u64, die_offset: SimDuration) {
         },
         0xdead ^ case,
     );
-    let disk: SharedDevice = Rc::new(fault);
-    let fs = ExtentFs::format(
+    let fs = extentfs::build_world_on(
         &sim,
-        &cpu,
-        &cache,
-        &disk,
+        Rc::new(fault),
+        PageCacheParams::small_test(),
+        PageoutParams::small_test(),
         64,
         ExtentFsParams::with_extent_blocks(15),
     )
-    .unwrap();
+    .unwrap()
+    .fs;
     let fs2 = fs.clone();
     drop(sim.spawn(async move { churn(fs2).await }));
     let s = sim.clone();

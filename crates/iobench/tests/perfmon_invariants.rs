@@ -65,7 +65,9 @@ fn profiler_is_a_pure_observer_and_attributes_wall_clock() {
     assert_eq!(base, par, "profiling must not perturb any output surface");
     assert_eq!(serial, par, "outputs must not depend on --jobs");
     // Guard against the vacuous pass: sampled series actually present.
-    assert!(par.4.contains("\"schema\":\"iobench-timeline/v1\""));
+    assert!(par
+        .4
+        .contains(&format!("\"schema\":\"{}\"", iobench::TIMELINE_SCHEMA)));
     assert!(
         par.4.matches("\"id\":\"fig10/").count() == 20,
         "{}",
@@ -116,7 +118,7 @@ fn profiler_is_a_pure_observer_and_attributes_wall_clock() {
     assert!(p.runs.iter().all(|(id, _)| id.starts_with("fig10/")));
     // The report serializes with the advertised schema.
     let json = p.to_json("fig10", 4);
-    assert!(json.contains("\"schema\":\"iobench-perf/v1\""));
+    assert!(json.contains(&format!("\"schema\":\"{}\"", iobench::PERF_SCHEMA)));
 
     // Serial profile shares the same shape: the loop reports as worker 0.
     let ps = HostProfile::build(&serial_records, serial_dropped);

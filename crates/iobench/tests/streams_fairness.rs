@@ -9,7 +9,6 @@ use iobench::runner::Runner;
 use iobench::{paper_world, run_streams, StreamsOptions, WorldOptions};
 use proptest::prelude::*;
 use simkit::Sim;
-use vfs::Vnode;
 
 /// Two identical `iobench streams --stats-json` exports must be
 /// byte-identical: the workload runs in virtual time, so the whole
@@ -26,7 +25,7 @@ fn streams_stats_json_is_deterministic() {
     let (t2, j2) = export();
     assert_eq!(t1, t2, "rendered fairness table must be identical");
     assert_eq!(j1, j2, "--stats-json document must be byte-identical");
-    assert!(j1.contains("\"schema\":\"iobench-stats/v8\""));
+    assert!(j1.contains(&format!("\"schema\":\"{}\"", iobench::STATS_SCHEMA)));
     assert!(
         j1.contains("{stream="),
         "labelled per-stream metrics must be exported"
@@ -42,11 +41,8 @@ fn sector_partition(streams: u32, nio: u64) -> (u64, u64, u64, u64, usize) {
             ..WorldOptions::default()
         };
         let w = paper_world(&s, Tuning::config_a(), opts).await.unwrap();
-        let cache = w.cache.clone();
         run_streams(
-            &s,
-            &w.fs,
-            move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
+            &w,
             StreamsOptions {
                 streams,
                 file_bytes: nio * 8192,

@@ -262,6 +262,35 @@ mod tests {
         assert!(daemon.stats().cleans_requested as usize >= cleaned.len());
     }
 
+    /// A file system with no cleaner task drops the receiver: dirty victims
+    /// are counted and left dirty, clean ones are still freed.
+    #[test]
+    fn daemon_runs_without_a_cleaner() {
+        let sim = Sim::new();
+        let pc = PageCache::new(&sim, PageCacheParams::small_test());
+        let (daemon, rx) = PageoutDaemon::spawn(&sim, &pc, None, PageoutParams::small_test());
+        drop(rx);
+        let pc2 = pc.clone();
+        let s = sim.clone();
+        sim.run_until(async move {
+            for i in 0..32u64 {
+                let id = pc2.create(key(1, i * 8192)).await;
+                if i % 2 == 0 {
+                    pc2.mark_dirty(id);
+                }
+                pc2.unbusy(id);
+            }
+            assert_eq!(pc2.free_count(), 0);
+            s.sleep(simkit::SimDuration::from_millis(100)).await;
+            assert!(pc2.free_count() > 0, "clean pages freed under pressure");
+            assert_eq!(pc2.dirty_offsets(1).len(), 16, "dirty victims stay dirty");
+            pc2.assert_consistent();
+        });
+        let st = daemon.stats();
+        assert!(st.cleans_requested > 0, "dirty victims are still counted");
+        assert!(st.freed > 0);
+    }
+
     #[test]
     fn recently_referenced_pages_survive_one_pass() {
         let sim = Sim::new();

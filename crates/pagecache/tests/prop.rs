@@ -51,8 +51,7 @@ proptest! {
         let pc = PageCache::new(&sim, PageCacheParams::small_test());
         // The daemon keeps allocation from deadlocking when all 32 pages
         // are consumed (clean pages can always be stolen back).
-        let (_daemon, rx) = PageoutDaemon::spawn(&sim, &pc, None, PageoutParams::small_test());
-        std::mem::forget(rx);
+        let (_daemon, _rx) = PageoutDaemon::spawn(&sim, &pc, None, PageoutParams::small_test());
         let pc2 = pc.clone();
         let s = sim.clone();
         sim.run_until(async move {

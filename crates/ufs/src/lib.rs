@@ -42,22 +42,8 @@ use simkit::{Cpu, Sim};
 use std::rc::Rc;
 use vfs::FsResult;
 
-/// Everything a simulated world needs: clock, CPU, disk, page cache,
-/// pageout daemon, and a mounted UFS.
-pub struct World {
-    /// The executor/clock.
-    pub sim: Sim,
-    /// The CPU cost account.
-    pub cpu: Cpu,
-    /// The block device (a single drive or a `volmgr` array).
-    pub disk: SharedDevice,
-    /// The unified page cache.
-    pub cache: PageCache,
-    /// The pageout daemon handle.
-    pub daemon: PageoutDaemon,
-    /// The mounted file system.
-    pub fs: Ufs,
-}
+/// The simulated machine ([`vfs::World`]) with a UFS mounted on it.
+pub type World = vfs::World<Ufs>;
 
 /// Builds a freshly formatted, mounted world — the common test/benchmark
 /// preamble. Must be called inside `sim.run_until` (it performs I/O).
@@ -73,7 +59,10 @@ pub async fn build_world(
 }
 
 /// Like [`build_world`], but mounts on an existing [`SharedDevice`] — a
-/// single drive or a `volmgr` RAID array.
+/// single drive or a `volmgr` RAID array. This is the one place a UFS
+/// machine is assembled: cache, `mkfs`, pageout daemon (always
+/// [`PageoutParams::sparcstation`]), then the mount, which takes the
+/// daemon's dirty-victim queue for its cleaner.
 pub async fn build_world_on(
     sim: &Sim,
     disk: SharedDevice,

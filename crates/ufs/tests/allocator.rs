@@ -57,19 +57,6 @@ fn maxbpg_moves_large_files_to_new_groups() {
         // Small maxbpg so the switch is visible on the small disk.
         let mut params = ufs::UfsParams::test(Tuning::config_a());
         params.maxbpg = Some(20);
-        let cpu = simkit::Cpu::new(&s);
-        let disk: diskmodel::SharedDevice = std::rc::Rc::new(diskmodel::Disk::new(
-            &s,
-            diskmodel::DiskParams::small_test(),
-        ));
-        let cache = pagecache::PageCache::new(&s, pagecache::PageCacheParams::small_test());
-        let (_d, rx) = pagecache::PageoutDaemon::spawn(
-            &s,
-            &cache,
-            None,
-            pagecache::PageoutParams::small_test(),
-        );
-        std::mem::forget(rx);
         // Several small groups so the maxbpg switch has somewhere to go
         // (the default small_test layout is a single group).
         let opts = ufs::MkfsOptions {
@@ -77,11 +64,16 @@ fn maxbpg_moves_large_files_to_new_groups() {
             inodes_per_cg: 64,
             ..ufs::MkfsOptions::small_test()
         };
-        ufs::mkfs(&s, &*disk, opts).await.unwrap();
-        let fs = ufs::Ufs::mount(&s, &cpu, &cache, &disk, params, None)
-            .await
-            .unwrap();
-        let f = fs.create("big").await.unwrap();
+        let w = ufs::build_world(
+            &s,
+            diskmodel::DiskParams::small_test(),
+            pagecache::PageCacheParams::small_test(),
+            opts,
+            params,
+        )
+        .await
+        .unwrap();
+        let f = w.fs.create("big").await.unwrap();
         f.write(0, &vec![1u8; 60 * 8192], AccessMode::Copy)
             .await
             .unwrap();

@@ -269,7 +269,7 @@ fn figure6_cluster_read_io_pattern() {
         // through after clearing the cache by truncating... simplest is to
         // re-open the same file in a second world sharing the disk. Here we
         // just invalidate the pages directly.
-        w.cache.invalidate_vnode(f.id(), 0);
+        w.invalidate(&f);
         w.fs.reset_stats();
         w.disk.reset_stats();
         let back = f.read(0, 12 * 8192, AccessMode::Copy).await.unwrap();
@@ -294,7 +294,7 @@ fn old_path_issues_one_io_per_block() {
             .await
             .unwrap();
         f.fsync().await.unwrap();
-        w.cache.invalidate_vnode(f.id(), 0);
+        w.invalidate(&f);
         w.fs.reset_stats();
         w.disk.reset_stats();
         f.read(0, 8 * 8192, AccessMode::Copy).await.unwrap();

@@ -16,8 +16,17 @@
 //! the data half of fsync, generic over what a file system has to say
 //! about a file; [`iopath`] is the executor it drives — busy pages,
 //! cluster transfers, retry, the per-stream prefetch engines.
+//!
+//! Above them, [`World`] is the simulated machine a file system is mounted
+//! on. Each file-system crate has one builder that assembles it
+//! (`ufs::build_world_on`, `extentfs::build_world_on`); workloads take a
+//! `&World<F>` and are written once for every `F`.
 
 use std::fmt;
+
+use diskmodel::SharedDevice;
+use pagecache::{PageCache, PageoutDaemon};
+use simkit::{Cpu, Sim};
 
 pub mod frontend;
 pub mod iopath;
@@ -190,6 +199,31 @@ pub trait FileSystem {
 
     /// Flushes all dirty state in the mount to stable storage.
     async fn sync(&self) -> FsResult<()>;
+}
+
+/// Everything a simulated machine needs: clock, CPU, block device, page
+/// cache, pageout daemon, and a mounted file system.
+pub struct World<F: FileSystem> {
+    /// The executor/clock.
+    pub sim: Sim,
+    /// The CPU cost account.
+    pub cpu: Cpu,
+    /// The block device (a single drive or a `volmgr` array).
+    pub disk: SharedDevice,
+    /// The unified page cache.
+    pub cache: PageCache,
+    /// The pageout daemon handle.
+    pub daemon: PageoutDaemon,
+    /// The mounted file system.
+    pub fs: F,
+}
+
+impl<F: FileSystem> World<F> {
+    /// Drops every cached page of `file`, so the next read of it goes to
+    /// the device.
+    pub fn invalidate(&self, file: &F::File) {
+        self.cache.invalidate_vnode(file.id(), 0);
+    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ fn main() {
 
         // Drop the cache and read it back sequentially: watch the cluster
         // machinery move 15 blocks per disk I/O.
-        world.cache.invalidate_vnode(file.id(), 0);
+        world.invalidate(&file);
         world.fs.reset_stats();
         world.disk.reset_stats();
         let t0 = s.now();

@@ -43,7 +43,7 @@ fn play(label: &str, tuning: Tuning) {
                 .expect("write");
         }
         movie.fsync().await.expect("fsync");
-        world.cache.invalidate_vnode(movie.id(), 0);
+        world.invalidate(&movie);
 
         // Play like a real player: the reader runs up to WARMUP_FRAMES
         // ahead of the display clock (a jitter buffer); frame i is due on

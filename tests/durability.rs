@@ -145,7 +145,7 @@ fn data_written_under_memory_pressure_is_intact() {
                 .unwrap();
         }
         f.fsync().await.unwrap();
-        w.cache.invalidate_vnode(f.id(), 0);
+        w.invalidate(&f);
         for i in [0u64, 7, 15, 31] {
             let back = f
                 .read(i * chunk.len() as u64, chunk.len(), AccessMode::Copy)

@@ -34,7 +34,7 @@ fn bmap_cache_cuts_translations() {
                 .await
                 .unwrap();
             f.fsync().await.unwrap();
-            w.cache.invalidate_vnode(f.id(), 0);
+            w.invalidate(&f);
             w.fs.reset_stats();
             f.read(0, 2 << 20, AccessMode::Copy).await.unwrap();
             let st = w.fs.stats();
@@ -131,7 +131,7 @@ fn random_cluster_hint_reduces_io_count() {
                 .await
                 .unwrap();
             f.fsync().await.unwrap();
-            w.cache.invalidate_vnode(f.id(), 0);
+            w.invalidate(&f);
             w.disk.reset_stats();
             // Random 40 KB reads (the paper's "random reads of 20KB
             // segments" scenario, scaled to our block size).

@@ -194,13 +194,12 @@ fn images_are_interchangeable_between_code_paths() {
         // needs a pageout daemon or large reads exhaust its 32 pages.)
         let cpu = simkit::Cpu::new(&s);
         let cache = pagecache::PageCache::new(&s, pagecache::PageCacheParams::small_test());
-        let (_d1, rx1) = pagecache::PageoutDaemon::spawn(
+        let (_d1, _rx1) = pagecache::PageoutDaemon::spawn(
             &s,
             &cache,
             None,
             pagecache::PageoutParams::small_test(),
         );
-        std::mem::forget(rx1);
         let mut params = ufs::UfsParams::test(Tuning::config_d());
         params.mount_id = 2;
         let old = ufs::Ufs::mount(&s, &cpu, &cache, &w.disk, params, None)
@@ -216,13 +215,12 @@ fn images_are_interchangeable_between_code_paths() {
         old.clone().unmount().await.unwrap();
 
         let cache2 = pagecache::PageCache::new(&s, pagecache::PageCacheParams::small_test());
-        let (_d2, rx2) = pagecache::PageoutDaemon::spawn(
+        let (_d2, _rx2) = pagecache::PageoutDaemon::spawn(
             &s,
             &cache2,
             None,
             pagecache::PageoutParams::small_test(),
         );
-        std::mem::forget(rx2);
         let mut params = ufs::UfsParams::test(Tuning::config_a());
         params.mount_id = 3;
         let newer = ufs::Ufs::mount(&s, &cpu, &cache2, &w.disk, params, None)

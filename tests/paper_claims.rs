@@ -6,7 +6,6 @@ use clufs::Tuning;
 use iobench::iobench::BenchOptions;
 use iobench::{paper_world, run_iobench, Config, IoKind, WorldOptions};
 use simkit::Sim;
-use vfs::Vnode;
 
 fn opts() -> BenchOptions {
     BenchOptions {
@@ -24,18 +23,10 @@ fn rate(config: Config, kind: IoKind) -> f64 {
         let w = paper_world(&s, config.tuning(), WorldOptions::default())
             .await
             .unwrap();
-        let cache = w.cache.clone();
-        run_iobench(
-            &s,
-            &w.fs,
-            move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
-            "t",
-            kind,
-            opts(),
-        )
-        .await
-        .unwrap()
-        .kb_per_sec()
+        run_iobench(&w, "t", kind, opts())
+            .await
+            .unwrap()
+            .kb_per_sec()
     })
 }
 
@@ -101,18 +92,10 @@ fn tuning_only_destroys_write_performance() {
                 ..Default::default()
             };
             let w = paper_world(&s, tuning, wo).await.unwrap();
-            let cache = w.cache.clone();
-            run_iobench(
-                &s,
-                &w.fs,
-                move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
-                "t",
-                kind,
-                opts(),
-            )
-            .await
-            .unwrap()
-            .kb_per_sec()
+            run_iobench(&w, "t", kind, opts())
+                .await
+                .unwrap()
+                .kb_per_sec()
         })
     };
     let b_write = run(Tuning::config_b(), IoKind::SeqWrite);
@@ -135,38 +118,16 @@ fn clustered_ufs_matches_extent_fs() {
     let sim = Sim::new();
     let s = sim.clone();
     let ext = sim.run_until(async move {
-        let cpu = simkit::Cpu::new(&s);
-        let disk: diskmodel::SharedDevice =
-            std::rc::Rc::new(diskmodel::Disk::new(&s, diskmodel::DiskParams::sun0424()));
-        let cache = pagecache::PageCache::new(&s, pagecache::PageCacheParams::sparcstation_8mb());
-        let (_d, rx) = pagecache::PageoutDaemon::spawn(
+        let w = iobench::paper_ext_world(
             &s,
-            &cache,
-            Some(cpu.clone()),
-            pagecache::PageoutParams::sparcstation(),
-        );
-        std::mem::forget(rx);
-        let fs = extentfs::ExtentFs::format(
-            &s,
-            &cpu,
-            &cache,
-            &disk,
+            std::rc::Rc::new(diskmodel::Disk::new(&s, diskmodel::DiskParams::sun0424())),
             64,
             extentfs::ExtentFsParams::with_extent_blocks(15),
-        )
-        .unwrap();
-        let cache2 = cache.clone();
-        run_iobench(
-            &s,
-            &fs,
-            move |f: &extentfs::ExtFile| cache2.invalidate_vnode(f.id(), 0),
-            "t",
-            IoKind::SeqRead,
-            opts(),
-        )
-        .await
-        .unwrap()
-        .kb_per_sec()
+        );
+        run_iobench(&w, "t", IoKind::SeqRead, opts())
+            .await
+            .unwrap()
+            .kb_per_sec()
     });
     let ufs_rate = rate(Config::A, IoKind::SeqRead);
     let ratio = ufs_rate / ext;
@@ -209,14 +170,11 @@ fn write_limit_prevents_memory_lockdown() {
             let w = paper_world(&s, tuning, WorldOptions::default())
                 .await
                 .unwrap();
-            let cache = w.cache.clone();
             // A fast sequential writer dirties memory at CPU speed
             // (~3 MB/s) while the disk drains at ~1.4 MB/s: without the
             // limit it locks down every page.
             run_iobench(
-                &s,
-                &w.fs,
-                move |f: &ufs::UfsFile| cache.invalidate_vnode(f.id(), 0),
+                &w,
                 "t",
                 IoKind::SeqWrite,
                 BenchOptions {

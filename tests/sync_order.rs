@@ -38,15 +38,19 @@ fn extentfs_outcome() -> (String, SimTime) {
     let sim = Sim::new();
     let s = sim.clone();
     sim.run_until(async move {
-        let cpu = simkit::Cpu::new(&s);
-        let disk: diskmodel::SharedDevice = Rc::new(diskmodel::Disk::new(
+        let w = extentfs::build_world_on(
             &s,
-            diskmodel::DiskParams::small_test(),
-        ));
-        let cache = pagecache::PageCache::new(&s, pagecache::PageCacheParams::small_test());
-        let params = extentfs::ExtentFsParams::with_extent_blocks(4);
-        let fs = extentfs::ExtentFs::format(&s, &cpu, &cache, &disk, 64, params).unwrap();
-        dirty_then_sync(&fs).await;
+            Rc::new(diskmodel::Disk::new(
+                &s,
+                diskmodel::DiskParams::small_test(),
+            )),
+            pagecache::PageCacheParams::small_test(),
+            pagecache::PageoutParams::small_test(),
+            64,
+            extentfs::ExtentFsParams::with_extent_blocks(4),
+        )
+        .unwrap();
+        dirty_then_sync(&w.fs).await;
     });
     (sim.stats().to_json(), sim.now())
 }

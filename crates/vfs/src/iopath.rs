@@ -930,7 +930,7 @@ impl IoPath {
     /// terminal failure invalidates the run's pages and surfaces
     /// `FsError::Io`. Takes the executor by value so the future can be
     /// spawned as it is, without a wrapper that would hold it twice.
-    async fn land_cluster(self, io: ClusterRead) -> FsResult<()> {
+    async fn land_cluster(self, io: ClusterRead, keep: Option<u64>) -> FsResult<()> {
         let inner = &*self.inner;
         let res = self
             .await_read(io.handle, io.lba, io.nsect, io.stream, io.span)
@@ -939,9 +939,11 @@ impl IoPath {
         match &res {
             Ok(data) => {
                 let bs = inner.block_size;
-                for (i, (_lbn, id)) in io.pages.iter().enumerate() {
+                for (i, (lbn, id)) in io.pages.iter().enumerate() {
                     inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
-                    inner.cache.unbusy(*id);
+                    if Some(*lbn) != keep {
+                        inner.cache.unbusy(*id);
+                    }
                 }
             }
             Err(_) => self.drop_failed_pages(io.vnode, &io.pages),
@@ -955,14 +957,17 @@ impl IoPath {
     async fn finish_read(&self, io: ClusterRead, want_lbn: u64) -> FsResult<PageId> {
         let want = io.pages.iter().find(|(lbn, _)| *lbn == want_lbn);
         let want = want.expect("requested page is in the run").1;
-        self.clone().land_cluster(io).await.map(|()| want)
+        // The wanted page is released last, as in a batch.
+        self.clone().land_cluster(io, Some(want_lbn)).await?;
+        self.inner.cache.unbusy(want);
+        Ok(want)
     }
 
     /// Read-ahead completion: [`IoPath::land_cluster`] on a task of its
     /// own. A terminal failure has nobody to tell (see
     /// [`IoPath::spawn_fill_batch`] for the rationale).
     fn spawn_fill(&self, io: ClusterRead) {
-        self.inner.sim.spawn(self.clone().land_cluster(io));
+        self.inner.sim.spawn(self.clone().land_cluster(io, None));
     }
 
     /// The paper's Figure 8 while loop: sweep `[range)` for dirty resident

@@ -21,9 +21,6 @@ pub struct Tuning {
     /// `true` selects the clustered `getpage`/`putpage` implementation
     /// (SunOS 4.1.1); `false` the block-at-a-time code (SunOS 4.1).
     pub clustering: bool,
-    /// Sequential read-ahead (both code paths have it; disabling is for
-    /// ablation only).
-    pub readahead: bool,
     /// MRU-style self-service page freeing for large sequential reads.
     pub free_behind: bool,
     /// Per-file limit (bytes) on dirty data in the disk queue; `None`
@@ -37,14 +34,9 @@ pub struct Tuning {
     /// Further Work: skip the `bmap` call on cache hits for files known to
     /// have no holes.
     pub ufs_hole_opt: bool,
-    /// Device-error retries the I/O path attempts before surfacing
-    /// `FsError::Io` (transient media errors clear under retry; latent
-    /// ones and dead devices do not).
-    pub io_retry_max: u32,
-    /// Base backoff between retries, milliseconds; doubles per attempt.
-    pub io_retry_backoff_ms: u32,
-    /// Which prefetch engine the read path runs (only meaningful while
-    /// `readahead` is true; `Fixed` is the paper's predictor).
+    /// Which prefetch engine the read path runs. Both code paths have
+    /// sequential read-ahead — `Fixed` is the paper's predictor — and
+    /// `Off` is the ablation.
     pub prefetch: PrefetchPolicy,
 }
 
@@ -54,13 +46,12 @@ pub const BLOCK_SIZE: u32 = 8192;
 /// The paper's per-file write limit: "currently 240KB".
 pub const WRITE_LIMIT_BYTES: u32 = 240 * 1024;
 
-/// Device-error retries per transfer: every preset's
-/// [`Tuning::io_retry_max`], and what the I/O path runs when a mount does
-/// not tune it.
+/// Device-error retries the I/O path attempts per transfer before
+/// surfacing an I/O error (transient media errors clear under retry;
+/// latent ones and dead devices do not).
 pub const IO_RETRY_MAX: u32 = 4;
 
-/// Base backoff between retries, milliseconds (see
-/// [`Tuning::io_retry_backoff_ms`]).
+/// Base backoff between retries, milliseconds; doubles per attempt.
 pub const IO_RETRY_BACKOFF_MS: u32 = 2;
 
 /// Histogram buckets for cluster and extent lengths in blocks; maxcontig
@@ -76,14 +67,11 @@ impl Tuning {
             maxcontig: 120 * 1024 / BLOCK_SIZE, // 15 blocks
             rotdelay_ms: 0,
             clustering: true,
-            readahead: true,
             free_behind: true,
             write_limit: Some(WRITE_LIMIT_BYTES),
             bmap_cache: false,
             random_cluster_hint: false,
             ufs_hole_opt: false,
-            io_retry_max: IO_RETRY_MAX,
-            io_retry_backoff_ms: IO_RETRY_BACKOFF_MS,
             prefetch: PrefetchPolicy::Fixed,
         }
     }
@@ -95,14 +83,11 @@ impl Tuning {
             maxcontig: 1,
             rotdelay_ms: 4,
             clustering: false,
-            readahead: true,
             free_behind: true,
             write_limit: Some(WRITE_LIMIT_BYTES),
             bmap_cache: false,
             random_cluster_hint: false,
             ufs_hole_opt: false,
-            io_retry_max: IO_RETRY_MAX,
-            io_retry_backoff_ms: IO_RETRY_BACKOFF_MS,
             prefetch: PrefetchPolicy::Fixed,
         }
     }

@@ -42,7 +42,7 @@ use pagecache::{PageCache, PageCacheParams, PageKey, PageoutDaemon, PageoutParam
 use simkit::stats::{Counter, Gauge};
 use simkit::{Cpu, Sim, SimDuration, SpanId};
 use ufs::CpuCosts;
-use vfs::frontend::{Backing, Costs, Event, FrontEnd, Probe};
+use vfs::frontend::{Backing, Costs, Event, FrontEnd, Policy, Probe};
 use vfs::iopath::{BlockMap, FileStream};
 use vfs::{AccessMode, FileSystem, FsError, FsResult, StreamId, Vnode, VnodeId, World};
 
@@ -70,10 +70,8 @@ pub struct ExtentFsParams {
     pub inline_max: usize,
     /// CPU cost model (use the same as the UFS mount being compared).
     pub costs: CpuCosts,
-    /// Sequential read-ahead of the next I/O unit.
-    pub readahead: bool,
-    /// Which prefetch engine the read path runs (only meaningful while
-    /// `readahead` is true; `Fixed` is the paper's predictor).
+    /// Which prefetch engine the read path runs (`Fixed` is the paper's
+    /// predictor, `Off` the ablation).
     pub prefetch: PrefetchPolicy,
     /// Page-cache identity namespace.
     pub mount_id: u64,
@@ -86,7 +84,6 @@ impl ExtentFsParams {
             extent_blocks: extent_blocks.max(1),
             inline_max: 512,
             costs: CpuCosts::sparcstation_1(),
-            readahead: true,
             prefetch: PrefetchPolicy::Fixed,
             mount_id: 0x0e,
         }
@@ -156,7 +153,6 @@ impl FragGauges {
 }
 
 struct Inner {
-    sim: Sim,
     cpu: Cpu,
     disk: SharedDevice,
     cache: PageCache,
@@ -300,20 +296,15 @@ impl ExtentFs {
                 rmw_fault: SimDuration::ZERO,
                 ..params.costs.front_end()
             },
-            FreeBehindPolicy::sunos_411(false),
-            false,
-        );
-        front.io().set_prefetch(
-            if params.readahead {
-                params.prefetch
-            } else {
-                PrefetchPolicy::Off
+            Policy {
+                free_behind: FreeBehindPolicy::sunos_411(false),
+                size_hint: false,
+                prefetch: params.prefetch,
+                io_unit: params.extent_blocks,
             },
-            params.extent_blocks,
         );
         Ok(ExtentFs {
             inner: Rc::new(Inner {
-                sim: sim.clone(),
                 cpu: cpu.clone(),
                 disk: disk.clone(),
                 cache: cache.clone(),
@@ -456,7 +447,7 @@ impl ExtentFs {
         let mut open = self.inner.open.borrow_mut();
         let state = open
             .entry(ino)
-            .or_insert_with(|| FileStream::new(&self.inner.sim, self.vid(ino), None));
+            .or_insert_with(|| self.inner.front.open_stream(self.vid(ino), None));
         ExtFile {
             fs: self.clone(),
             ino,

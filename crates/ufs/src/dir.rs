@@ -218,7 +218,7 @@ impl Ufs {
         let ip = crate::fs::Incore::new(
             ino,
             crate::layout::Dinode::new(FileKind::Symlink),
-            &self.inner.sim,
+            &self.inner.front,
             &self.inner.params.tuning,
             self.vid(ino),
         );
@@ -291,7 +291,7 @@ impl Ufs {
         let ip = crate::fs::Incore::new(
             ino,
             crate::layout::Dinode::new(FileKind::Directory),
-            &self.inner.sim,
+            &self.inner.front,
             &self.inner.params.tuning,
             self.vid(ino),
         );

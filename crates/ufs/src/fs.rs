@@ -5,12 +5,12 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use clufs::{BmapCache, FreeBehindPolicy, PrefetchPolicy, Tuning, LEN_EDGES};
+use clufs::{BmapCache, FreeBehindPolicy, Tuning, LEN_EDGES};
 use diskmodel::{BlockDeviceExt, DiskOp, DiskRequest, SharedDevice};
 use pagecache::{CleanRequest, PageCache, VnodeId};
 use simkit::stats::{Counter, Histogram};
 use simkit::{Cpu, Notify, Receiver, Sim, SimDuration};
-use vfs::frontend::FrontEnd;
+use vfs::frontend::{FrontEnd, Policy};
 use vfs::iopath::FileStream;
 use vfs::{FsError, FsResult};
 
@@ -177,7 +177,7 @@ impl Incore {
     pub(crate) fn new(
         ino: u32,
         din: Dinode,
-        sim: &Sim,
+        front: &FrontEnd,
         tuning: &Tuning,
         vid: VnodeId,
     ) -> Rc<Incore> {
@@ -185,7 +185,7 @@ impl Incore {
             ino,
             din: RefCell::new(din),
             dirty: Cell::new(false),
-            io: FileStream::new(sim, vid, tuning.write_limit),
+            io: front.open_stream(vid, tuning.write_limit),
             bmap_cache: RefCell::new(BmapCache::new(8)),
             may_have_holes: Cell::new(true),
             alloc_run: Cell::new(0),
@@ -274,22 +274,12 @@ impl Ufs {
             disk,
             cache,
             params.costs.front_end(),
-            params.free_behind,
-            params.tuning.random_cluster_hint,
-        );
-        front.io().set_retry(
-            params.tuning.io_retry_max,
-            params.tuning.io_retry_backoff_ms,
-        );
-        // The per-stream prefetch engines live in the executor; the
-        // `readahead` ablation switch overrides the policy to Off.
-        front.io().set_prefetch(
-            if params.tuning.readahead {
-                params.tuning.prefetch
-            } else {
-                PrefetchPolicy::Off
+            Policy {
+                free_behind: params.free_behind,
+                size_hint: params.tuning.random_cluster_hint,
+                prefetch: params.tuning.prefetch,
+                io_unit: params.tuning.io_cluster_blocks(),
             },
-            params.tuning.io_cluster_blocks(),
         );
         let ufs = Ufs {
             inner: Rc::new(UfsInner {
@@ -474,7 +464,7 @@ impl Ufs {
         let ip = Incore::new(
             ino,
             din,
-            &self.inner.sim,
+            &self.inner.front,
             &self.inner.params.tuning,
             self.vid(ino),
         );

@@ -282,7 +282,7 @@ impl Ufs {
         let ip = Incore::new(
             ino,
             Dinode::new(FileKind::Regular),
-            &self.inner.sim,
+            &self.inner.front,
             &self.inner.params.tuning,
             self.vid(ino),
         );

@@ -19,13 +19,13 @@
 use std::ops::Range;
 use std::rc::Rc;
 
-use clufs::{FreeBehindPolicy, PrefetchPolicy, WriteAction};
+use clufs::{FreeBehindPolicy, PrefetchPolicy, Prefetcher, WriteAction};
 use diskmodel::SharedDevice;
 use pagecache::{PageCache, PageId};
 use simkit::{Cpu, Sim, SimDuration, SpanId};
 
-use crate::iopath::{BlockMap, FileStream, IoCosts, IoPath, PendingRead};
-use crate::{AccessMode, FsError, FsResult};
+use crate::iopath::{BlockMap, FileStream, InflightRead, IoCosts, IoPath};
+use crate::{AccessMode, FsError, FsResult, VnodeId};
 
 /// CPU charges of the front end and the executor below it. A zero entry is
 /// a charge this mount does not make: it neither yields nor advances the
@@ -169,7 +169,22 @@ enum Fault {
     /// The page was resident when the fault looked.
     Hit(PageId),
     /// A demand read is in flight.
-    Miss(PendingRead),
+    Miss(InflightRead),
+}
+
+/// The policy values a mount runs its front end under.
+#[derive(Clone, Copy, Debug)]
+pub struct Policy {
+    /// When `rdwr` frees the pages a sequential read leaves behind.
+    pub free_behind: FreeBehindPolicy,
+    /// Further Work "random clustering": pass the request size down from
+    /// `rdwr` so apparently-random reads still cluster.
+    pub size_hint: bool,
+    /// The prefetch engine every stream of the mount runs.
+    pub prefetch: PrefetchPolicy,
+    /// The mount's I/O unit in blocks — the quantum the adaptive engine
+    /// measures distance in.
+    pub io_unit: u32,
 }
 
 /// One mount's vnode front end.
@@ -179,10 +194,7 @@ pub struct FrontEnd {
     cache: PageCache,
     io: IoPath,
     costs: Costs,
-    free_behind: FreeBehindPolicy,
-    /// Further Work "random clustering": pass the request size down from
-    /// `rdwr` so apparently-random reads still cluster.
-    size_hint: bool,
+    policy: Policy,
 }
 
 impl FrontEnd {
@@ -193,8 +205,7 @@ impl FrontEnd {
         disk: &SharedDevice,
         cache: &PageCache,
         costs: Costs,
-        free_behind: FreeBehindPolicy,
-        size_hint: bool,
+        policy: Policy,
     ) -> FrontEnd {
         FrontEnd {
             sim: sim.clone(),
@@ -202,14 +213,21 @@ impl FrontEnd {
             cache: cache.clone(),
             io: IoPath::new(sim, cpu, disk, cache, costs.io),
             costs,
-            free_behind,
-            size_hint,
+            policy,
         }
     }
 
-    /// The executor, for mount-time tuning and raw block reads.
+    /// The executor, for raw block reads.
     pub fn io(&self) -> &IoPath {
         &self.io
+    }
+
+    /// The I/O state of a newly opened file: a fresh stream running the
+    /// mount's prefetch engine, throttled at `write_limit` (None =
+    /// unlimited).
+    pub fn open_stream(&self, vnode: VnodeId, write_limit: Option<u32>) -> Rc<FileStream> {
+        let engine = Prefetcher::new(self.policy.prefetch, self.policy.io_unit);
+        FileStream::new(&self.sim, vnode, write_limit, engine)
     }
 
     fn block_size(&self) -> u64 {
@@ -260,7 +278,7 @@ impl FrontEnd {
             }
             // Sequential-mode detection for free-behind.
             let sequential = off == io.last_read_end.get();
-            let hint = if self.size_hint {
+            let hint = if self.policy.size_hint {
                 (len as u64).div_ceil(bs) as u32
             } else {
                 0
@@ -280,7 +298,7 @@ impl FrontEnd {
                 // Free behind: triggered when rdwr unmaps the page. The
                 // policy decides; the executor releases (unless the page
                 // got busy or dirty since we looked).
-                if self.free_behind.should_free(
+                if self.policy.free_behind.should_free(
                     sequential,
                     pos,
                     self.cache.free_count(),
@@ -474,7 +492,7 @@ impl FrontEnd {
         let plan = loop {
             let missing = std::cell::Cell::new(None);
             let dry = self.io.prefetch_dry(
-                io.id(),
+                io,
                 lbn,
                 hit,
                 |at| {
@@ -493,9 +511,7 @@ impl FrontEnd {
                 None => {
                     // Commit the state transition with fully-known probes.
                     let lookup = |at| find(&known, at).map_or(0, |p| p.blocks);
-                    let plan = self
-                        .io
-                        .prefetch_commit(io.id(), lbn, hit, lookup, hint_blocks);
+                    let plan = self.io.prefetch_commit(io, lbn, hit, lookup, hint_blocks);
                     debug_assert_eq!(plan, dry);
                     break plan;
                 }
@@ -528,7 +544,7 @@ impl FrontEnd {
         // The paper's engine plans one run inside one probed cluster, so
         // the probe's address is the transfer's. Adaptive runs may span
         // clusters (data sieving) and resolve through the block map.
-        let addressed = self.io.prefetch_policy() != PrefetchPolicy::Adaptive;
+        let addressed = self.policy.prefetch != PrefetchPolicy::Adaptive;
         for run in &plan.runs {
             let pbn = find(&known, run.lbn)
                 .and_then(|p| p.pbn)
@@ -617,14 +633,19 @@ mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
 
+    use clufs::IO_RETRY_MAX;
+    use diskmodel::fault::{FaultDevice, SpindleFaults};
     use diskmodel::{BlockDeviceExt, Disk, DiskParams};
     use pagecache::PageCacheParams;
 
     const BS: usize = 8192;
+    const SECTORS: u32 = (BS / 512) as u32;
     /// Disk block holding block 0 of the toy file.
     const BASE: u32 = 16;
     /// Blocks the toy file has on disk; block `i` is filled with `i + 1`.
     const BLOCKS: u64 = 8;
+    /// Disk blocks skipped between a split file's two physical runs.
+    const GAP: u32 = 32;
 
     /// The least a file system can be: one file whose block `i` lives at
     /// disk block `BASE + i`. Translation is the costly, lazy kind — it
@@ -634,14 +655,35 @@ mod tests {
         sim: Sim,
         io: Rc<FileStream>,
         size: Cell<u64>,
+        /// First block of the file's second physical run, `GAP` disk
+        /// blocks beyond the first (`BLOCKS`: the file is contiguous). A
+        /// split file's probes do not learn addresses, so its reads
+        /// resolve through the block map.
+        split: u64,
+        /// Fails the next `extent` call.
+        fail_extent: Cell<bool>,
         mid_probe: RefCell<Option<Box<dyn FnOnce()>>>,
         events: RefCell<Vec<Event>>,
     }
 
+    /// Disk block of block `lbn` of a toy file split at `split`.
+    fn place(split: u64, lbn: u64) -> u32 {
+        BASE + lbn as u32 + if lbn >= split { GAP } else { 0 }
+    }
+
     impl BlockMap for Toy {
         async fn extent(&self, lbn: u64, cap: u32) -> FsResult<Option<(u32, u32)>> {
-            let left = self.size.get().div_ceil(BS as u64).saturating_sub(lbn);
-            Ok((left > 0).then(|| (BASE + lbn as u32, cap.min(left as u32))))
+            if self.fail_extent.replace(false) {
+                return Err(FsError::Io);
+            }
+            let eof = self.size.get().div_ceil(BS as u64);
+            let end = if lbn < self.split {
+                eof.min(self.split)
+            } else {
+                eof
+            };
+            let left = end.saturating_sub(lbn);
+            Ok((left > 0).then(|| (place(self.split, lbn), cap.min(left as u32))))
         }
 
         fn max_cluster(&self) -> u32 {
@@ -669,14 +711,15 @@ mod tests {
             }
             self.sim.sleep(SimDuration::from_millis(1)).await;
             let blocks = eof_blocks.saturating_sub(lbn).min(4) as u32;
+            let addressed = blocks > 0 && self.split == BLOCKS;
             Ok(Probe {
                 blocks,
-                pbn: (blocks > 0).then(|| BASE + lbn as u32),
+                pbn: addressed.then(|| place(self.split, lbn)),
             })
         }
 
         async fn map_write(&self, lbn: u64) -> FsResult<(u32, bool)> {
-            Ok((BASE + lbn as u32, false))
+            Ok((place(self.split, lbn), false))
         }
 
         fn count(&self, ev: Event) {
@@ -698,20 +741,43 @@ mod tests {
 
     struct World {
         front: FrontEnd,
+        cpu: Cpu,
         cache: PageCache,
         disk: SharedDevice,
+        faults: FaultDevice,
         toy: Rc<Toy>,
     }
 
-    /// A drive holding the toy file, an empty cache, a free CPU, tracing on.
+    impl World {
+        /// The cached page of block `lbn`, if any.
+        fn page(&self, lbn: u64) -> Option<PageId> {
+            self.cache.lookup(self.front.io().key(&self.toy.io, lbn))
+        }
+
+        /// Arms `count` media errors on the disk blocks of `[lbn, lbn+n)`.
+        fn arm(&self, lbn: u64, n: u32, count: u32) {
+            let lba = place(self.toy.split, lbn) as u64 * SECTORS as u64;
+            self.faults.arm_transient(lba, n * SECTORS, count);
+        }
+    }
+
+    /// A contiguous toy file (see [`world_split`]).
     async fn world(sim: &Sim) -> World {
+        world_split(sim, BLOCKS).await
+    }
+
+    /// A drive (behind a fault injector with nothing armed) holding the toy
+    /// file in two runs split at block `split`, an empty cache, a free CPU,
+    /// tracing on.
+    async fn world_split(sim: &Sim, split: u64) -> World {
         let cpu = Cpu::new(sim);
-        let disk: SharedDevice = Rc::new(Disk::new(sim, DiskParams::small_test()));
+        let drive: SharedDevice = Rc::new(Disk::new(sim, DiskParams::small_test()));
+        let faults = FaultDevice::new(sim, drive, SpindleFaults::default(), 0);
+        let disk: SharedDevice = Rc::new(faults.clone());
         let cache = PageCache::new(sim, PageCacheParams::small_test());
         for i in 0..BLOCKS {
-            let lba = (BASE as u64 + i) * (BS / 512) as u64;
-            disk.write(lba, (BS / 512) as u32, vec![i as u8 + 1; BS])
-                .await;
+            let lba = place(split, i) as u64 * SECTORS as u64;
+            disk.write(lba, SECTORS, vec![i as u8 + 1; BS]).await;
         }
         let free = Costs {
             syscall: SimDuration::ZERO,
@@ -726,20 +792,29 @@ mod tests {
                 io_intr: SimDuration::ZERO,
             },
         };
-        let policy = FreeBehindPolicy::sunos_411(false);
-        let front = FrontEnd::new(sim, &cpu, &disk, &cache, free, policy, false);
+        let policy = Policy {
+            free_behind: FreeBehindPolicy::sunos_411(false),
+            size_hint: false,
+            prefetch: PrefetchPolicy::Fixed,
+            io_unit: 4,
+        };
+        let front = FrontEnd::new(sim, &cpu, &disk, &cache, free, policy);
         sim.tracer().set_enabled(true);
         let toy = Rc::new(Toy {
             sim: sim.clone(),
-            io: FileStream::new(sim, 7, None),
+            io: front.open_stream(7, None),
             size: Cell::new(BLOCKS * BS as u64),
+            split,
+            fail_extent: Cell::new(false),
             mid_probe: RefCell::new(None),
             events: RefCell::new(Vec::new()),
         });
         World {
             front,
+            cpu,
             cache,
             disk,
+            faults,
             toy,
         }
     }
@@ -864,6 +939,116 @@ mod tests {
                 })
                 .sum();
             assert_eq!(written, 5, "blocks 1..=5, each pushed once");
+        });
+    }
+
+    #[test]
+    fn a_failed_translation_does_not_leave_the_dirty_page_busy() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let w = world(&s).await;
+            let data = vec![9u8; BS];
+            w.front
+                .write(&*w.toy, 0, &data, AccessMode::Copy)
+                .await
+                .unwrap();
+            w.toy.fail_extent.set(true);
+            assert_eq!(w.front.fsync_data(&*w.toy).await, Err(FsError::Io));
+            // The page the writeback had locked is the one this read needs.
+            let mut back = vec![0u8; BS];
+            w.front
+                .read(&*w.toy, 0, &mut back, AccessMode::Copy)
+                .await
+                .unwrap();
+            assert_eq!(back, data);
+            w.front.fsync_data(&*w.toy).await.unwrap();
+        });
+    }
+
+    /// One hinted demand read of blocks 4..8 of a file split at block 6 —
+    /// two physical runs — whose second run first fails `failures` times.
+    /// Checks what holds however often that is: the bytes, one setup for
+    /// the whole read, one successful transfer per run, and one retry
+    /// (counted, and traced under the read) per failure.
+    fn demand_read_across_the_split(failures: u32) {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let w = world_split(&s, 6).await;
+            w.arm(6, 2, failures);
+            let reads0 = w.disk.stats().reads;
+            let first = w.front.getpage(&*w.toy, 4, 4, SpanId::NONE).await.unwrap();
+            assert_eq!(w.page(4), Some(first));
+            for lbn in 4..8 {
+                let page = w.page(lbn).expect("the read brought every block in");
+                assert!(!w.cache.is_busy(page));
+                w.cache
+                    .with_page(page, |d| assert!(d.iter().all(|&b| b == lbn as u8 + 1)));
+            }
+            assert_eq!(w.toy.events.borrow().last(), Some(&Event::DemandRead(4)));
+            let setups = w.cpu.by_tag().iter().find(|t| t.0 == "io_setup").unwrap().1;
+            assert_eq!(setups.count, 1, "one setup however many runs");
+            assert_eq!(w.disk.stats().reads - reads0, 2);
+            assert_eq!(s.stats().counter_value("io.retries"), failures as u64);
+            let spans = s.tracer().take_spans();
+            let read = spans
+                .iter()
+                .find(|sp| sp.name == "iopath.read_runs")
+                .unwrap();
+            assert!(read.args.contains(&("runs", 2)));
+            let retries = spans.iter().filter(|sp| sp.name == "iopath.retry");
+            assert!(retries.clone().all(|sp| sp.parent == read.id));
+            assert_eq!(retries.count(), failures as usize);
+        });
+    }
+
+    #[test]
+    fn a_demand_read_across_two_runs_is_one_setup_and_two_transfers() {
+        demand_read_across_the_split(0);
+    }
+
+    #[test]
+    fn a_transient_error_on_one_part_is_retried_once() {
+        demand_read_across_the_split(1);
+    }
+
+    #[test]
+    fn a_failed_readahead_part_costs_only_its_own_pages() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let w = world_split(&s, 6).await;
+            // The read-ahead behind a sequential fault on block 0 covers
+            // blocks 4..8 in two parts; the second exhausts its retries.
+            w.arm(6, 2, IO_RETRY_MAX + 1);
+            w.front.getpage(&*w.toy, 0, 0, SpanId::NONE).await.unwrap();
+            assert_eq!(w.toy.events.borrow().last(), Some(&Event::Readahead(4)));
+            s.sleep(SimDuration::from_secs(1)).await;
+            assert_eq!(s.stats().counter_value("io.retries"), IO_RETRY_MAX as u64);
+            assert!(w.page(6).is_none() && w.page(7).is_none());
+            let spans = s.tracer().take_spans();
+            let parts = spans.iter().filter(|sp| sp.name == "iopath.readahead.part");
+            assert_eq!(parts.count(), 2);
+            // The first part landed, and a fault on it claims a prefetched
+            // page.
+            w.toy.events.borrow_mut().clear();
+            let page = w.front.getpage(&*w.toy, 5, 0, SpanId::NONE).await.unwrap();
+            w.cache
+                .with_page(page, |d| assert!(d.iter().all(|&b| b == 6)));
+            let claimed = Event::Getpage {
+                hit: true,
+                prefetched: true,
+            };
+            assert_eq!(w.toy.events.borrow()[..], [claimed]);
+            // The fault has cleared: a demand fault on a lost block reads
+            // it again, and nothing remembers it as prefetched.
+            w.toy.events.borrow_mut().clear();
+            let page = w.front.getpage(&*w.toy, 7, 0, SpanId::NONE).await.unwrap();
+            w.cache
+                .with_page(page, |d| assert!(d.iter().all(|&b| b == 8)));
+            assert_eq!(w.toy.passes(), [false]);
+            assert!(w.toy.events.borrow().contains(&Event::DemandRead(1)));
         });
     }
 }

@@ -10,21 +10,32 @@
 //! [`IoPath::read_demand`], [`IoPath::readahead`],
 //! [`IoPath::write_clusters`] and [`IoPath::free_behind`].
 //!
+//! There is one read. `bmap` returns a length, and the routine that moves
+//! the blocks does not care who chose it: a demand read and a read-ahead
+//! are the same [`InflightRead`] — a list of physical runs, one transfer
+//! each — issued by one routine and completed by one routine, and a
+//! contiguous transfer at an address the caller already knew is the list
+//! with one run. A demand read waits for its completion and keeps the page
+//! it wanted; a read-ahead spawns it.
+//!
 //! Every open file carries a [`FileStream`] whose [`StreamId`] rides each
 //! request end to end — demand-fault cache lookups, cluster issues,
 //! throttle stalls and `diskmodel` queue entries are all labelled with the
 //! originating stream, so the registry can answer "which stream got what
 //! share of the disk" (`disk.sectors_*{stream=N}`,
 //! `core.throttle_stalls{stream=N}`, `iopath.cluster_*_blocks{stream=N}`).
+//! Whatever is per stream — the prefetch engine, those histograms — lives
+//! on the `FileStream` and goes when the file is closed; the executor
+//! holds nothing that is set after [`IoPath::new`].
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::rc::Rc;
 
 use clufs::{
-    DelayedWrite, PrefetchPlan, PrefetchPolicy, PrefetchRun, Prefetcher, WriteThrottle,
-    IO_RETRY_BACKOFF_MS, IO_RETRY_MAX, LEN_EDGES,
+    DelayedWrite, PrefetchPlan, PrefetchRun, Prefetcher, WriteThrottle, IO_RETRY_BACKOFF_MS,
+    IO_RETRY_MAX, LEN_EDGES,
 };
 use diskmodel::{BlockDeviceExt, IoHandle, IoStatus, SharedDevice};
 use pagecache::{PageCache, PageId, PageKey};
@@ -36,78 +47,44 @@ use crate::{FsError, FsResult, StreamId, VnodeId};
 /// Why a read is being issued.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ReadReason {
-    /// A faulting access needs the first block now; the caller waits.
-    Demand,
+    /// A faulting access needs the first block now; the caller waits, and
+    /// the read's span nests under the fault's.
+    Demand { parent: SpanId },
     /// Speculative read-ahead; the executor fills pages asynchronously.
+    /// The fill completes *after* the faulting operation returns, so its
+    /// span is a root — a span must lie within its parent's interval for
+    /// the trace to mean anything.
     Readahead,
 }
 
-/// An in-flight demand read, to be waited out with [`IoPath::finish`].
-pub enum PendingRead {
-    /// One physically contiguous transfer at an address the caller knew.
-    Cluster(ClusterRead),
-    /// A run-list batch resolved through [`BlockMap::runs`]: one setup,
-    /// one transfer per physical run.
-    Batch(BatchRead),
-}
-
-impl PendingRead {
-    /// Number of blocks being read.
-    pub fn blocks(&self) -> u32 {
-        match self {
-            PendingRead::Cluster(io) => io.blocks(),
-            PendingRead::Batch(io) => io.blocks(),
-        }
-    }
-}
-
-/// An issued cluster read: the disk handle plus the busy pages created for
-/// it, in block order. Carries enough of the original request (device
-/// range, stream, owning vnode) to resubmit the transfer on a transient
-/// device error and to tear the pages back down on a permanent one.
-pub struct ClusterRead {
-    handle: IoHandle,
-    lba: u64,
-    nsect: u32,
+/// An issued read: one in-flight transfer per physical run, the busy pages
+/// each fills, and enough of the request (device ranges, stream, owning
+/// vnode) to resubmit a transfer on a transient device error and to tear
+/// its pages down on a permanent one. A contiguous read at an address the
+/// caller's probe learned is the one-part case.
+pub struct InflightRead {
+    parts: Vec<ReadPart>,
     stream: u32,
     vnode: VnodeId,
-    pages: Vec<(u64, PageId)>,
     span: SpanId,
+    /// The run list came from [`BlockMap::runs`], not from the caller's
+    /// probe. Only the trace tells the two apart.
+    mapped: bool,
 }
 
-impl ClusterRead {
-    /// Number of blocks in the transfer.
-    pub fn blocks(&self) -> u32 {
-        self.pages.len() as u32
-    }
-}
-
-/// One in-flight transfer of a [`BatchRead`]: the handle, the device range
-/// it covers (for retry), and the busy pages it fills, in block order.
-struct BatchPart {
+/// One transfer of an [`InflightRead`]: the handle, the device range it
+/// covers (for retry), and the busy pages it fills, in block order.
+struct ReadPart {
     handle: IoHandle,
     lba: u64,
     nsect: u32,
     pages: Vec<(u64, PageId)>,
 }
 
-/// An issued run-list batch: one in-flight transfer per physical run.
-pub struct BatchRead {
-    parts: Vec<BatchPart>,
-    stream: u32,
-    vnode: VnodeId,
-    span: SpanId,
-}
-
-impl BatchRead {
-    /// Total blocks across all runs in the batch.
+impl InflightRead {
+    /// Total blocks being read.
     pub fn blocks(&self) -> u32 {
         self.parts.iter().map(|p| p.pages.len() as u32).sum()
-    }
-
-    /// Number of physical transfers the batch was split into.
-    pub fn transfers(&self) -> usize {
-        self.parts.len()
     }
 }
 
@@ -149,13 +126,19 @@ pub trait BlockMap {
 }
 
 /// Per-open-file I/O state: the stream label, the paper's per-inode write
-/// throttle and delayed-write accumulator, the sequential-read detector,
-/// and the in-flight write count used to quiesce before
-/// truncate/remove/fsync completion.
+/// throttle and delayed-write accumulator, the stream's prefetch engine,
+/// the sequential-read detector, and the in-flight write count used to
+/// quiesce before truncate/remove/fsync completion.
 pub struct FileStream {
     vnode: VnodeId,
     stream: StreamId,
     throttle: WriteThrottle,
+    /// The read-ahead state the mounts used to keep in their in-core
+    /// inodes.
+    prefetcher: RefCell<Prefetcher>,
+    /// `iopath.cluster_{read,write}_blocks{stream=N}`, registered together
+    /// by the stream's first transfer in either direction.
+    cluster_blocks: OnceCell<(Histogram, Histogram)>,
     /// Delayed-write accumulator (`delayoff`/`delaylen`), in page units.
     delayed: RefCell<DelayedWrite>,
     /// End offset of the last read, for sequential-mode detection in rdwr.
@@ -170,13 +153,24 @@ pub struct FileStream {
 
 impl FileStream {
     /// Allocates a fresh stream id from the sim's registry and builds the
-    /// file's throttle against `write_limit` (None = unlimited).
-    pub fn new(sim: &Sim, vnode: VnodeId, write_limit: Option<u32>) -> Rc<FileStream> {
+    /// file's throttle against `write_limit` (None = unlimited). Mounts
+    /// open streams through [`FrontEnd::open_stream`], which supplies the
+    /// engine their policy selects.
+    ///
+    /// [`FrontEnd::open_stream`]: crate::frontend::FrontEnd::open_stream
+    pub fn new(
+        sim: &Sim,
+        vnode: VnodeId,
+        write_limit: Option<u32>,
+        prefetcher: Prefetcher,
+    ) -> Rc<FileStream> {
         let stream = StreamId::new(sim.stats().alloc_stream());
         Rc::new(FileStream {
             vnode,
             stream,
             throttle: WriteThrottle::for_stream(sim, write_limit, stream.as_u32()),
+            prefetcher: RefCell::new(prefetcher),
+            cluster_blocks: OnceCell::new(),
             delayed: RefCell::new(DelayedWrite::new()),
             last_read_end: Cell::new(0),
             pending_io: Cell::new(0),
@@ -256,13 +250,6 @@ pub struct IoCosts {
     pub io_intr: SimDuration,
 }
 
-/// Cached per-stream metric handles (`iopath.cluster_*_blocks{stream=N}`).
-#[derive(Clone)]
-struct PerStream {
-    read_blocks: Histogram,
-    write_blocks: Histogram,
-}
-
 /// Prefetch instrumentation (`io.prefetch_*`): issued blocks, blocks a
 /// demand access later claimed (accuracy = hits / issued), bytes read
 /// speculatively but recycled unconsumed (plus sieve gap filler), and
@@ -288,28 +275,18 @@ struct IoPathInner {
     /// the page cache's recycle hook, which counts unclaimed prefetched
     /// pages as wasted when their identity is destroyed.
     ra_pending: Rc<RefCell<HashSet<PageKey>>>,
-    streams: RefCell<HashMap<u32, PerStream>>,
-    /// Per-stream prefetch engines (the adaptive-readahead state the
-    /// mounts used to keep in their in-core inodes).
-    prefetchers: RefCell<HashMap<u32, Prefetcher>>,
-    /// Policy new streams start under (set once at mount).
-    prefetch_policy: Cell<PrefetchPolicy>,
-    /// The mount's I/O unit in blocks — the adaptive engine's distance
-    /// quantum.
-    prefetch_unit: Cell<u32>,
     pf: PrefetchMetrics,
-    /// Device-error retries before a transfer fails with `FsError::Io`
-    /// (`clufs::IO_RETRY_MAX` unless the mount calls
-    /// [`IoPath::set_retry`]).
-    retry_max: Cell<u32>,
-    /// Base virtual-time backoff between retries; doubles per attempt.
-    retry_backoff: Cell<SimDuration>,
 }
 
 /// The per-mount I/O executor. Clones share the engine.
 #[derive(Clone)]
 pub struct IoPath {
     inner: Rc<IoPathInner>,
+}
+
+/// Exponential backoff before retry `attempt` (0-based).
+fn backoff(attempt: u32) -> SimDuration {
+    SimDuration::from_millis((IO_RETRY_BACKOFF_MS as u64) << attempt.min(16))
 }
 
 impl IoPath {
@@ -356,28 +333,9 @@ impl IoPath {
                 block_size,
                 sectors_per_block: (block_size / sector) as u32,
                 ra_pending,
-                streams: RefCell::new(HashMap::new()),
-                prefetchers: RefCell::new(HashMap::new()),
-                prefetch_policy: Cell::new(PrefetchPolicy::Fixed),
-                prefetch_unit: Cell::new(1),
                 pf,
-                retry_max: Cell::new(IO_RETRY_MAX),
-                retry_backoff: Cell::new(SimDuration::from_millis(IO_RETRY_BACKOFF_MS as u64)),
             }),
         }
-    }
-
-    /// Selects the prefetch engine new streams run (set once at mount)
-    /// and the mount's I/O unit in blocks — the quantum the adaptive
-    /// engine measures distance in.
-    pub fn set_prefetch(&self, policy: PrefetchPolicy, unit_blocks: u32) {
-        self.inner.prefetch_policy.set(policy);
-        self.inner.prefetch_unit.set(unit_blocks.max(1));
-    }
-
-    /// The prefetch engine this mount's streams run.
-    pub fn prefetch_policy(&self) -> PrefetchPolicy {
-        self.inner.prefetch_policy.get()
     }
 
     /// Dry-runs the stream's prefetch engine for an access to `lbn`
@@ -387,13 +345,13 @@ impl IoPath {
     /// [`IoPath::prefetch_commit`] with identical inputs.
     pub fn prefetch_dry(
         &self,
-        stream: StreamId,
+        fstream: &FileStream,
         lbn: u64,
         cached: bool,
         cluster_len: impl FnMut(u64) -> u32,
         size_hint_blocks: u32,
     ) -> PrefetchPlan {
-        let mut engine = self.with_engine(stream, |engine| engine.clone());
+        let mut engine = fstream.prefetcher.borrow().clone();
         engine.on_access(
             lbn,
             cached,
@@ -410,7 +368,7 @@ impl IoPath {
     /// dry run and a commit in the same synchronous stretch agree.
     pub fn prefetch_commit(
         &self,
-        stream: StreamId,
+        fstream: &FileStream,
         lbn: u64,
         cached: bool,
         cluster_len: impl FnMut(u64) -> u32,
@@ -418,43 +376,23 @@ impl IoPath {
     ) -> PrefetchPlan {
         let free = self.inner.cache.free_count() as u64;
         let reserve = self.inner.cache.lotsfree() as u64;
-        let plan = self.with_engine(stream, |engine| {
-            engine.on_access(lbn, cached, cluster_len, size_hint_blocks, free, reserve)
-        });
+        let plan = fstream.prefetcher.borrow_mut().on_access(
+            lbn,
+            cached,
+            cluster_len,
+            size_hint_blocks,
+            free,
+            reserve,
+        );
         if !plan.runs.is_empty() {
             self.inner.pf.distance.observe(plan.distance.max(1) as u64);
         }
         plan
     }
 
-    /// Runs `f` on the stream's engine (creating it on first use).
-    fn with_engine<R>(&self, stream: StreamId, f: impl FnOnce(&mut Prefetcher) -> R) -> R {
-        let inner = &*self.inner;
-        let mut engines = inner.prefetchers.borrow_mut();
-        f(engines.entry(stream.as_u32()).or_insert_with(|| {
-            Prefetcher::new(inner.prefetch_policy.get(), inner.prefetch_unit.get())
-        }))
-    }
-
-    /// Tunes the bounded-retry policy: up to `max` resubmissions per
-    /// transfer, sleeping `backoff_ms * 2^attempt` virtual milliseconds
-    /// between them.
-    pub fn set_retry(&self, max: u32, backoff_ms: u32) {
-        self.inner.retry_max.set(max);
-        self.inner
-            .retry_backoff
-            .set(SimDuration::from_millis(backoff_ms as u64));
-    }
-
-    /// Exponential backoff for retry `attempt` (0-based).
-    fn backoff(&self, attempt: u32) -> SimDuration {
-        let base = self.inner.retry_backoff.get().as_nanos();
-        SimDuration::from_nanos(base.saturating_mul(1u64 << attempt.min(16)))
-    }
-
     /// Awaits a read, absorbing transient device errors: on `MediaError`
-    /// the transfer is resubmitted up to the tuned budget with exponential
-    /// virtual-time backoff (under an `iopath.retry` span); `DeviceGone`
+    /// the transfer is resubmitted up to [`IO_RETRY_MAX`] times with
+    /// exponential virtual-time backoff (under an `iopath.retry` span); `DeviceGone`
     /// fails fast — the device will not answer, only redundancy below or
     /// the caller above can help. Terminal failures return `FsError::Io`.
     async fn await_read(
@@ -471,13 +409,13 @@ impl IoPath {
             let res = handle.wait().await;
             match res.status {
                 IoStatus::Ok => return Ok(res.data.expect("read returns data")),
-                IoStatus::MediaError if attempt < inner.retry_max.get() => {
+                IoStatus::MediaError if attempt < IO_RETRY_MAX => {
                     let s = inner.sim.stats();
                     s.counter("io.errors{kind=media}").inc();
                     s.counter("io.retries").inc();
                     let rs = inner.sim.tracer().start("iopath.retry", stream, parent);
                     inner.sim.tracer().arg(rs, "attempt", attempt as u64 + 1);
-                    inner.sim.sleep(self.backoff(attempt)).await;
+                    inner.sim.sleep(backoff(attempt)).await;
                     handle = inner.disk.submit_read_for(lba, nsect, stream, parent);
                     inner.sim.tracer().end(rs);
                     attempt += 1;
@@ -527,27 +465,16 @@ impl IoPath {
         }
     }
 
-    fn per_stream(&self, stream: StreamId) -> PerStream {
-        self.inner
-            .streams
-            .borrow_mut()
-            .entry(stream.as_u32())
-            .or_insert_with(|| {
-                let s = self.inner.sim.stats();
-                PerStream {
-                    read_blocks: s.stream_histogram(
-                        "iopath.cluster_read_blocks",
-                        stream.as_u32(),
-                        &LEN_EDGES,
-                    ),
-                    write_blocks: s.stream_histogram(
-                        "iopath.cluster_write_blocks",
-                        stream.as_u32(),
-                        &LEN_EDGES,
-                    ),
-                }
-            })
-            .clone()
+    /// The stream's cluster-length histograms `(read, write)`, entering
+    /// the registry on first use.
+    fn cluster_blocks<'a>(&self, fstream: &'a FileStream) -> &'a (Histogram, Histogram) {
+        fstream.cluster_blocks.get_or_init(|| {
+            let (s, id) = (self.inner.sim.stats(), fstream.stream.as_u32());
+            (
+                s.stream_histogram("iopath.cluster_read_blocks", id, &LEN_EDGES),
+                s.stream_histogram("iopath.cluster_write_blocks", id, &LEN_EDGES),
+            )
+        })
     }
 
     /// True if `key` was produced by read-ahead and not yet claimed;
@@ -561,13 +488,12 @@ impl IoPath {
         hit
     }
 
-    /// Issues the demand read for a fault: `len` blocks from `lbn`, as one
-    /// contiguous transfer at `pbn` when the caller's probe learned the
-    /// address, else as a run-list batch resolved through `map`. The
-    /// transfer's span nests under `parent`. `None` means nothing was left
-    /// to read — the page arrived while the fault was being planned — and
-    /// the caller re-resolves it. Wait the read out with
-    /// [`IoPath::finish`].
+    /// Issues the demand read for a fault: `len` blocks from `lbn`, at
+    /// `pbn` when the caller's probe learned the address, else wherever
+    /// `map` says. The read's span nests under `parent`. `None` means
+    /// nothing was left to read — the page arrived while the fault was
+    /// being planned — and the caller re-resolves it. Wait the read out
+    /// with [`IoPath::finish`].
     pub async fn read_demand(
         &self,
         fstream: &Rc<FileStream>,
@@ -576,36 +502,22 @@ impl IoPath {
         len: u32,
         pbn: Option<u32>,
         parent: SpanId,
-    ) -> FsResult<Option<PendingRead>> {
-        let reason = ReadReason::Demand;
-        Ok(match pbn {
-            Some(pbn) => self
-                .issue_cluster(fstream, lbn, len, pbn, reason, parent)
-                .await?
-                .map(PendingRead::Cluster),
-            None => self
-                .issue_runs(fstream, map, lbn, len, reason, parent)
-                .await?
-                .map(PendingRead::Batch),
-        })
+    ) -> FsResult<Option<InflightRead>> {
+        let reason = ReadReason::Demand { parent };
+        self.issue_read(fstream, map, lbn, len, pbn, reason).await
     }
 
-    /// Waits out a demand read, fills and releases its pages, and returns
-    /// the page for `want_lbn`.
-    pub async fn finish(&self, io: PendingRead, want_lbn: u64) -> FsResult<PageId> {
-        match io {
-            PendingRead::Cluster(io) => self.finish_read(io, want_lbn).await,
-            PendingRead::Batch(io) => self.finish_batch(io, want_lbn).await,
-        }
+    /// Waits out a demand read and returns the page for `want_lbn`. The
+    /// call fails with `FsError::Io` if the transfer carrying that page
+    /// failed for good.
+    pub async fn finish(&self, io: InflightRead, want_lbn: u64) -> FsResult<PageId> {
+        let want = self.clone().complete_read(io, Some(want_lbn)).await?;
+        Ok(want.expect("requested page is in the read"))
     }
 
     /// Issues one speculative run — at `pbn` when known, else through
     /// `map` — and returns the blocks now being filled asynchronously by
     /// the executor's completion task (0: the data was already resident).
-    ///
-    /// Read-ahead fills (like cluster writebacks) complete *after* the
-    /// faulting operation returns, so their spans are roots — a span must
-    /// lie within its parent's interval for the trace to mean anything.
     pub async fn readahead(
         &self,
         fstream: &Rc<FileStream>,
@@ -613,48 +525,30 @@ impl IoPath {
         run: &PrefetchRun,
         pbn: Option<u32>,
     ) -> FsResult<u32> {
-        let (reason, root) = (ReadReason::Readahead, SpanId::NONE);
-        match pbn {
-            Some(pbn) => {
-                let Some(io) = self
-                    .issue_cluster(fstream, run.lbn, run.blocks, pbn, reason, root)
-                    .await?
-                else {
-                    return Ok(0);
-                };
-                let blocks = self.claim_readahead(fstream, run, io.pages.iter());
-                self.spawn_fill(io);
-                Ok(blocks)
-            }
-            None => {
-                let Some(io) = self
-                    .issue_runs(fstream, map, run.lbn, run.blocks, reason, root)
-                    .await?
-                else {
-                    return Ok(0);
-                };
-                let pages = io.parts.iter().flat_map(|p| &p.pages);
-                let blocks = self.claim_readahead(fstream, run, pages);
-                self.spawn_fill_batch(io);
-                Ok(blocks)
-            }
-        }
+        let reason = ReadReason::Readahead;
+        let Some(io) = self
+            .issue_read(fstream, map, run.lbn, run.blocks, pbn, reason)
+            .await?
+        else {
+            return Ok(0);
+        };
+        let blocks = self.claim_readahead(fstream, run, &io);
+        // The read was speculative, so there is nobody to tell how it
+        // ended. The completion future is spawned as it is: a wrapper
+        // would hold it twice.
+        self.inner.sim.spawn(self.clone().complete_read(io, None));
+        Ok(blocks)
     }
 
     /// Books an issued read-ahead and returns its size in blocks: every
     /// wanted page is claimed for the hit/wasted accounting; sieve gap
     /// filler (see [`PrefetchRun::sieve`]) is known wasted the moment it
     /// is issued.
-    fn claim_readahead<'a>(
-        &self,
-        fstream: &FileStream,
-        run: &PrefetchRun,
-        pages: impl Iterator<Item = &'a (u64, PageId)>,
-    ) -> u32 {
+    fn claim_readahead(&self, fstream: &FileStream, run: &PrefetchRun, io: &InflightRead) -> u32 {
         let inner = &*self.inner;
         let (mut claimed, mut gap_blocks) = (0u64, 0u64);
         let mut ra = inner.ra_pending.borrow_mut();
-        for (lbn, _) in pages {
+        for (lbn, _) in io.parts.iter().flat_map(|p| &p.pages) {
             let wanted = match run.sieve {
                 Some((keep, period)) if period > 0 => {
                     ((lbn - run.lbn) % period as u64) < keep as u64
@@ -675,47 +569,58 @@ impl IoPath {
         (claimed + gap_blocks) as u32
     }
 
-    /// Opens the span a read runs under: nested below the fault for a
-    /// demand read, a root for read-ahead.
-    fn read_span(
-        &self,
-        demand_name: &'static str,
-        reason: ReadReason,
-        stream: u32,
-        parent: SpanId,
-    ) -> SpanId {
-        let name = match reason {
-            ReadReason::Demand => demand_name,
-            ReadReason::Readahead => "iopath.readahead",
-        };
-        self.inner.sim.tracer().start(name, stream, parent)
-    }
-
-    /// Creates busy pages for `[lbn, lbn+len)` — clipped at the first
-    /// already-cached page — and submits one contiguous, stream-tagged
-    /// read at `pbn`. `None`: every page was already resident.
-    async fn issue_cluster(
+    /// Moves up to `len` blocks from `lbn` in one read. The physical run
+    /// list is `[(pbn, len)]` when the caller knew the address — a
+    /// contiguous transfer is list I/O with one region — and
+    /// [`BlockMap::runs`] otherwise; nothing after that asks which. Busy
+    /// pages are created for the absent prefix (clipped at the first
+    /// already-cached page), one `io_setup` is charged for the whole read —
+    /// the amortization a fragmented file gets from list-style I/O — and
+    /// one stream-tagged transfer is submitted per physical run. `None`:
+    /// nothing was left to read.
+    async fn issue_read(
         &self,
         fstream: &Rc<FileStream>,
+        map: &impl BlockMap,
         lbn: u64,
         len: u32,
-        pbn: u32,
+        pbn: Option<u32>,
         reason: ReadReason,
-        parent: SpanId,
-    ) -> FsResult<Option<ClusterRead>> {
+    ) -> FsResult<Option<InflightRead>> {
         let inner = &*self.inner;
+        let tracer = inner.sim.tracer();
+        let len = len.max(1);
         if reason == ReadReason::Readahead && inner.cache.lookup(self.key(fstream, lbn)).is_some() {
             // The data already arrived (or was never evicted): nothing to do.
             return Ok(None);
         }
+        let runs = match pbn {
+            Some(pbn) => vec![(pbn, len)],
+            None => map.runs(lbn, len).await?,
+        };
+        let covered: u32 = runs.iter().map(|&(_, n)| n).sum();
+        if covered == 0 {
+            return match reason {
+                // The caller saw the block mapped; an empty run-list here
+                // means the map lost it underneath us.
+                ReadReason::Demand { .. } => Err(FsError::Corrupt),
+                ReadReason::Readahead => Ok(None),
+            };
+        }
         let stream = fstream.id().as_u32();
-        let span = self.read_span("iopath.read_cluster", reason, stream, parent);
-        inner.sim.tracer().arg(span, "lbn", lbn);
+        // A demand read's span is named for where its addresses came from.
+        let (name, parent) = match (reason, pbn) {
+            (ReadReason::Readahead, _) => ("iopath.readahead", SpanId::NONE),
+            (ReadReason::Demand { parent }, Some(_)) => ("iopath.read_cluster", parent),
+            (ReadReason::Demand { parent }, None) => ("iopath.read_runs", parent),
+        };
+        let span = tracer.start(name, stream, parent);
+        tracer.arg(span, "lbn", lbn);
         let mut pages = Vec::new();
-        for i in 0..len.max(1) {
+        for i in 0..covered.min(len) {
             let key = self.key(fstream, lbn + i as u64);
             if inner.cache.lookup(key).is_some() {
-                break; // Already resident: clip the cluster here.
+                break; // Already resident: clip the read here.
             }
             let id = inner.cache.create_traced(key, stream, span).await;
             // The page identity is fresh; drop any stale read-ahead claim
@@ -726,138 +631,91 @@ impl IoPath {
         let n = pages.len() as u32;
         if n == 0 {
             // Another fault brought the first page in while this one was
-            // being planned.
-            inner.sim.tracer().end(span);
+            // being planned (creating pages and resolving the run list may
+            // both wait).
+            tracer.end(span);
             return Ok(None);
         }
-        inner.sim.tracer().arg(span, "blocks", n as u64);
+        tracer.arg(span, "blocks", n as u64);
         inner.cpu.charge("io_setup", inner.costs.io_setup).await;
-        self.per_stream(fstream.id()).read_blocks.observe(n as u64);
-        let lba = pbn as u64 * inner.sectors_per_block as u64;
-        let nsect = n * inner.sectors_per_block;
-        let handle = inner.disk.submit_read_for(lba, nsect, stream, span);
-        Ok(Some(ClusterRead {
-            handle,
-            lba,
-            nsect,
-            stream,
-            vnode: fstream.vnode,
-            pages,
-            span,
-        }))
-    }
-
-    /// Resolves the file's run-list once and moves up to `len` blocks in
-    /// one batch — busy pages are created for the absent prefix (clipped
-    /// at the first already-cached page), one `io_setup` is charged for
-    /// the whole batch, and one stream-tagged transfer is submitted per
-    /// physical run. `None`: nothing was left to read.
-    async fn issue_runs(
-        &self,
-        fstream: &Rc<FileStream>,
-        map: &impl BlockMap,
-        lbn: u64,
-        len: u32,
-        reason: ReadReason,
-        parent: SpanId,
-    ) -> FsResult<Option<BatchRead>> {
-        let inner = &*self.inner;
-        if reason == ReadReason::Readahead && inner.cache.lookup(self.key(fstream, lbn)).is_some() {
-            return Ok(None);
-        }
-        let runs = map.runs(lbn, len.max(1)).await?;
-        let covered: u32 = runs.iter().map(|&(_, n)| n).sum();
-        if covered == 0 {
-            return match reason {
-                // The caller saw the block mapped; an empty run-list here
-                // means the map lost it underneath us.
-                ReadReason::Demand => Err(FsError::Corrupt),
-                ReadReason::Readahead => Ok(None),
-            };
-        }
-        let stream = fstream.id().as_u32();
-        let span = self.read_span("iopath.read_runs", reason, stream, parent);
-        inner.sim.tracer().arg(span, "lbn", lbn);
-        let mut pages = Vec::new();
-        for i in 0..covered.min(len.max(1)) {
-            let key = self.key(fstream, lbn + i as u64);
-            if inner.cache.lookup(key).is_some() {
-                break; // Already resident: clip the batch here.
-            }
-            let id = inner.cache.create_traced(key, stream, span).await;
-            // The page identity is fresh; drop any stale read-ahead claim
-            // a recycled predecessor left behind.
-            inner.ra_pending.borrow_mut().remove(&key);
-            pages.push((lbn + i as u64, id));
-        }
-        let n = pages.len() as u32;
-        if n == 0 {
-            // Everything arrived while the run-list resolved (the map's
-            // translation may await, e.g. an indirect-block read).
-            inner.sim.tracer().end(span);
-            return Ok(None);
-        }
-        inner.sim.tracer().arg(span, "blocks", n as u64);
-        // One setup for the whole batch: this is the amortization a
-        // fragmented file gets from list-style I/O.
-        inner.cpu.charge("io_setup", inner.costs.io_setup).await;
-        self.per_stream(fstream.id()).read_blocks.observe(n as u64);
+        self.cluster_blocks(fstream).0.observe(n as u64);
         let mut parts = Vec::new();
-        let mut idx = 0usize;
-        for &(pbn, len) in &runs {
-            if idx >= pages.len() {
+        for &(pbn, run_len) in &runs {
+            if pages.is_empty() {
                 break;
             }
-            let take = (len as usize).min(pages.len() - idx);
-            let part: Vec<(u64, PageId)> = pages[idx..idx + take].to_vec();
+            let rest = pages.split_off((run_len as usize).min(pages.len()));
+            let pages = std::mem::replace(&mut pages, rest);
             let lba = pbn as u64 * inner.sectors_per_block as u64;
-            let nsect = take as u32 * inner.sectors_per_block;
+            let nsect = pages.len() as u32 * inner.sectors_per_block;
             let handle = inner.disk.submit_read_for(lba, nsect, stream, span);
-            parts.push(BatchPart {
+            parts.push(ReadPart {
                 handle,
                 lba,
                 nsect,
-                pages: part,
+                pages,
             });
-            idx += take;
         }
-        inner.sim.tracer().arg(span, "runs", parts.len() as u64);
-        Ok(Some(BatchRead {
+        if pbn.is_none() {
+            tracer.arg(span, "runs", parts.len() as u64);
+        }
+        Ok(Some(InflightRead {
             parts,
             stream,
             vnode: fstream.vnode,
             span,
+            mapped: pbn.is_none(),
         }))
     }
 
-    /// Waits out a demand batch part by part, charging one interrupt per
-    /// transfer, fills and releases every page, and returns the page for
-    /// `want_lbn`.
+    /// Waits out a read part by part, charging one interrupt per transfer,
+    /// and fills and releases every page. A demand read names the page it
+    /// was issued for and gets it back; read-ahead (`want_lbn` = `None`)
+    /// runs this on a task of its own.
     ///
     /// Transient device errors are retried per part (see
-    /// [`IoPath::set_retry`]); a part that fails terminally has its pages
-    /// invalidated, and the whole call fails with `FsError::Io` if the
-    /// failed part was the one carrying `want_lbn`. Other parts still
-    /// complete — their handles are in flight and their busy pages must be
+    /// [`IoPath::await_read`]). A part that fails terminally has its pages
+    /// invalidated — a later demand access re-faults and takes the error
+    /// itself if the fault persists — and the call fails with
+    /// `FsError::Io` if that part carried `want_lbn`. Other parts still
+    /// complete: their handles are in flight and their busy pages must be
     /// resolved either way.
-    async fn finish_batch(&self, io: BatchRead, want_lbn: u64) -> FsResult<PageId> {
+    ///
+    /// Takes the executor by value so the future can be spawned as it is.
+    async fn complete_read(
+        self,
+        io: InflightRead,
+        want_lbn: Option<u64>,
+    ) -> FsResult<Option<PageId>> {
         let inner = &*self.inner;
+        let tracer = inner.sim.tracer();
         let bs = inner.block_size;
         let mut want = None;
         let mut want_failed = false;
         for part in io.parts {
+            // One child span per physical transfer of a mapped read-ahead:
+            // the trace shows how the speculative window split across the
+            // disk.
+            let ps = if io.mapped && want_lbn.is_none() {
+                let ps = tracer.start("iopath.readahead.part", io.stream, io.span);
+                tracer.arg(ps, "lba", part.lba);
+                tracer.arg(ps, "blocks", part.pages.len() as u64);
+                ps
+            } else {
+                SpanId::NONE
+            };
             let res = self
                 .await_read(part.handle, part.lba, part.nsect, io.stream, io.span)
                 .await;
             inner.cpu.charge("io_intr", inner.costs.io_intr).await;
             match res {
                 Ok(data) => {
-                    for (i, (run_lbn, id)) in part.pages.iter().enumerate() {
+                    for (i, (lbn, id)) in part.pages.iter().enumerate() {
                         inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
-                        if *run_lbn == want_lbn {
-                            // Stays busy until the whole batch lands: a later
-                            // part's await must not let pageout recycle the page
-                            // this batch was issued for.
+                        if Some(*lbn) == want_lbn {
+                            // Stays busy until the whole read lands: a later
+                            // part's await must not let pageout recycle the
+                            // page this read was issued for.
                             want = Some(*id);
                         } else {
                             inner.cache.unbusy(*id);
@@ -865,109 +723,20 @@ impl IoPath {
                     }
                 }
                 Err(_) => {
-                    if part.pages.iter().any(|&(l, _)| l == want_lbn) {
-                        want_failed = true;
-                    }
+                    want_failed |= part.pages.iter().any(|&(l, _)| Some(l) == want_lbn);
                     self.drop_failed_pages(io.vnode, &part.pages);
                 }
             }
+            tracer.end(ps);
         }
-        inner.sim.tracer().end(io.span);
+        tracer.end(io.span);
         if want_failed {
             return Err(FsError::Io);
         }
-        let want = want.expect("requested page is in the batch");
-        inner.cache.unbusy(want);
-        Ok(want)
-    }
-
-    /// Asynchronous completion for a read-ahead batch: wait out each
-    /// part, charge the interrupt, fill and release. A part that fails
-    /// terminally has its pages invalidated — the read was speculative,
-    /// so there is nobody to tell; a later demand access re-faults and
-    /// takes the error itself if the fault persists.
-    fn spawn_fill_batch(&self, io: BatchRead) {
-        let this = self.clone();
-        self.inner.sim.spawn(async move {
-            let inner = &*this.inner;
-            let bs = inner.block_size;
-            for part in io.parts {
-                // One child span per physical transfer, under the batch's
-                // `iopath.readahead` root: the trace shows how the
-                // speculative window split across the disk.
-                let ps = inner
-                    .sim
-                    .tracer()
-                    .start("iopath.readahead.part", io.stream, io.span);
-                inner.sim.tracer().arg(ps, "lba", part.lba);
-                inner
-                    .sim
-                    .tracer()
-                    .arg(ps, "blocks", part.pages.len() as u64);
-                let res = this
-                    .await_read(part.handle, part.lba, part.nsect, io.stream, io.span)
-                    .await;
-                inner.cpu.charge("io_intr", inner.costs.io_intr).await;
-                match res {
-                    Ok(data) => {
-                        for (i, (_lbn, id)) in part.pages.iter().enumerate() {
-                            inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
-                            inner.cache.unbusy(*id);
-                        }
-                    }
-                    Err(_) => this.drop_failed_pages(io.vnode, &part.pages),
-                }
-                inner.sim.tracer().end(ps);
-            }
-            inner.sim.tracer().end(io.span);
-        });
-    }
-
-    /// Waits out a cluster read, charges the interrupt, and fills and
-    /// releases every page of the run.
-    ///
-    /// Transient device errors are retried (see [`IoPath::set_retry`]); a
-    /// terminal failure invalidates the run's pages and surfaces
-    /// `FsError::Io`. Takes the executor by value so the future can be
-    /// spawned as it is, without a wrapper that would hold it twice.
-    async fn land_cluster(self, io: ClusterRead, keep: Option<u64>) -> FsResult<()> {
-        let inner = &*self.inner;
-        let res = self
-            .await_read(io.handle, io.lba, io.nsect, io.stream, io.span)
-            .await;
-        inner.cpu.charge("io_intr", inner.costs.io_intr).await;
-        match &res {
-            Ok(data) => {
-                let bs = inner.block_size;
-                for (i, (lbn, id)) in io.pages.iter().enumerate() {
-                    inner.cache.write_at(*id, 0, &data[i * bs..(i + 1) * bs]);
-                    if Some(*lbn) != keep {
-                        inner.cache.unbusy(*id);
-                    }
-                }
-            }
-            Err(_) => self.drop_failed_pages(io.vnode, &io.pages),
+        if let Some(id) = want {
+            inner.cache.unbusy(id);
         }
-        inner.sim.tracer().end(io.span);
-        res.map(drop)
-    }
-
-    /// Demand completion: [`IoPath::land_cluster`], then the page for
-    /// `want_lbn`.
-    async fn finish_read(&self, io: ClusterRead, want_lbn: u64) -> FsResult<PageId> {
-        let want = io.pages.iter().find(|(lbn, _)| *lbn == want_lbn);
-        let want = want.expect("requested page is in the run").1;
-        // The wanted page is released last, as in a batch.
-        self.clone().land_cluster(io, Some(want_lbn)).await?;
-        self.inner.cache.unbusy(want);
         Ok(want)
-    }
-
-    /// Read-ahead completion: [`IoPath::land_cluster`] on a task of its
-    /// own. A terminal failure has nobody to tell (see
-    /// [`IoPath::spawn_fill_batch`] for the rationale).
-    fn spawn_fill(&self, io: ClusterRead) {
-        self.inner.sim.spawn(self.clone().land_cluster(io, None));
     }
 
     /// The paper's Figure 8 while loop: sweep `[range)` for dirty resident
@@ -1012,12 +781,14 @@ impl IoPath {
             }
             // How far can one transfer go? The block map knows.
             let cap = ((range.end - cur) as u32).min(map.max_cluster());
-            let (pbn, contig) = match map.extent(cur, cap).await? {
-                Some(v) => v,
-                None => {
-                    // A dirty page over a hole cannot happen: writes allocate.
+            let (pbn, contig) = match map.extent(cur, cap).await {
+                Ok(Some(v)) => v,
+                // A dirty page over a hole cannot happen (writes allocate);
+                // a translation can fail. Either way the page is released
+                // first, or everyone who wants it next waits forever.
+                failed => {
                     inner.cache.unbusy(id);
-                    return Err(FsError::Corrupt);
+                    return Err(failed.err().unwrap_or(FsError::Corrupt));
                 }
             };
             // Gather the dirty run (clipped at the first clean/absent page),
@@ -1048,7 +819,7 @@ impl IoPath {
                     .with_page(*pid, |d| payload.extend_from_slice(d));
             }
             // A root span per cluster: the push completes after the caller
-            // returns (see `readahead`), so it cannot nest anywhere.
+            // returns (see `ReadReason::Readahead`), so it cannot nest anywhere.
             let span = inner.sim.tracer().start(
                 "iopath.write_cluster",
                 fstream.id().as_u32(),
@@ -1062,7 +833,7 @@ impl IoPath {
                 .begin_write_traced(n as u64 * bs as u64, span)
                 .await;
             inner.cpu.charge("io_setup", inner.costs.io_setup).await;
-            self.per_stream(fstream.id()).write_blocks.observe(n as u64);
+            self.cluster_blocks(fstream).1.observe(n as u64);
             fstream.io_started();
             let lba = pbn as u64 * inner.sectors_per_block as u64;
             let nsect = n * inner.sectors_per_block;
@@ -1079,13 +850,13 @@ impl IoPath {
                     let res = handle.wait().await;
                     inner.cpu.charge("io_intr", inner.costs.io_intr).await;
                     match res.status {
-                        IoStatus::MediaError if attempt < inner.retry_max.get() => {
+                        IoStatus::MediaError if attempt < IO_RETRY_MAX => {
                             let s = inner.sim.stats();
                             s.counter("io.errors{kind=media}").inc();
                             s.counter("io.retries").inc();
                             let rs = inner.sim.tracer().start("iopath.retry", stream, span);
                             inner.sim.tracer().arg(rs, "attempt", attempt as u64 + 1);
-                            inner.sim.sleep(this.backoff(attempt)).await;
+                            inner.sim.sleep(backoff(attempt)).await;
                             // Re-snapshot the payload: the run's pages are
                             // still locked busy by this writeback, so their
                             // contents are stable and current.

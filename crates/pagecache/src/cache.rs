@@ -186,7 +186,7 @@ struct CacheMetrics {
     /// Registry handle for lazily materialized per-stream counters.
     registry: simkit::stats::StatsRegistry,
     /// Interned `cache.hits`/`cache.misses` base names: per-stream lookup
-    /// attribution ([`PageCache::lookup_for`]) resolves `base{stream=N}`
+    /// attribution ([`PageCache::lookup_traced`]) resolves `base{stream=N}`
     /// through the registry's trivial-hash interned table instead of
     /// formatting and re-hashing a `String` per fault.
     hits_id: NameId,
@@ -401,18 +401,13 @@ impl PageCache {
     }
 
     /// [`PageCache::lookup`], with the hit or miss additionally attributed
-    /// to `stream` (`cache.hits{stream=N}` / `cache.misses{stream=N}`).
+    /// to `stream` (`cache.hits{stream=N}` / `cache.misses{stream=N}`) and
+    /// recorded as an instant `cache.hit` / `cache.miss` trace span under
+    /// `parent`, so the analyzer can read hit ratios straight out of a
+    /// trace. Lookups take no virtual time, so the span is zero-width.
     /// Used by the demand-fault path, where the faulting stream is known;
     /// internal probes (cluster clipping, writeback gathering) stay
     /// unattributed.
-    pub fn lookup_for(&self, key: PageKey, stream: u32) -> Option<PageId> {
-        self.lookup_traced(key, stream, SpanId::NONE)
-    }
-
-    /// [`PageCache::lookup_for`], additionally recording the outcome as an
-    /// instant `cache.hit` / `cache.miss` trace span under `parent`, so the
-    /// analyzer can read hit ratios straight out of a trace. Lookups take
-    /// no virtual time, so the span is zero-width.
     pub fn lookup_traced(&self, key: PageKey, stream: u32, parent: SpanId) -> Option<PageId> {
         let found = self.lookup(key);
         self.inner

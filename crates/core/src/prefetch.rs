@@ -393,8 +393,8 @@ impl AdaptiveRa {
     }
 }
 
-/// A per-stream prefetch engine: the policy selector the I/O path keys
-/// by `StreamId`.
+/// A per-stream prefetch engine: one lives on each open file's I/O
+/// state, built from the mount's policy.
 #[derive(Clone, Debug)]
 pub enum Prefetcher {
     /// [`PrefetchPolicy::Off`] and [`PrefetchPolicy::Fixed`]: the

@@ -14,8 +14,9 @@
 //! Below the traits, two modules hold everything the file systems share:
 //! [`frontend`] is the one implementation of `rdwr`/`getpage`/`putpage` and
 //! the data half of fsync, generic over what a file system has to say
-//! about a file; [`iopath`] is the executor it drives — busy pages,
-//! cluster transfers, retry, the per-stream prefetch engines.
+//! about a file; [`iopath`] is the executor it drives — busy pages, the
+//! one read (a transfer per physical run), cluster writes, retry — and
+//! the per-open-file state, prefetch engine included.
 //!
 //! Above them, [`World`] is the simulated machine a file system is mounted
 //! on. Each file-system crate has one builder that assembles it

@@ -1,44 +1,26 @@
 #!/bin/sh
-# Wall-clock benchmark suite + parallel-determinism check.
+# Parallel-determinism check.
 #
-#   scripts/bench.sh [--smoke] [--out PATH]
+#   scripts/bench.sh
 #
 # 1. Verifies the `--jobs` contract: `iobench fig10 --quick` must emit
 #    byte-identical stdout, --stats-json, --trace, and --timeline output
 #    at jobs=1 and jobs=4 — with the host profiler (--perf) armed, which
-#    must observe without perturbing.
+#    must observe without perturbing. The volume, faults, aging and
+#    readahead experiments get the same check.
 # 2. Checks every experiment's stdout and stats document against the
 #    committed hashes (scripts/surfaces.sh, SURFACES.sha256).
-# 3. Runs the wallclock bench (crates/bench/benches/wallclock.rs) and
-#    writes BENCH_iobench.json (schema iobench-bench/v3; see DESIGN.md
-#    "Wall-clock performance"), attaching the host profile
-#    (BENCH_iobench.perf.json) so a bad parallel speedup arrives with
-#    per-worker utilization to diagnose it. A speedup below 1.0x sets
-#    the document's "attention" marker and prints a loud warning — the
-#    benchmark still exits 0 (slow is a finding, not a failure).
 #
-# --smoke shrinks the workloads for CI.
+# These are correctness checks. Performance is measured by `benchmark/`
+# (see benchmark/README.md).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-MODE=full
-OUT="$PWD/BENCH_iobench.json"
-while [ $# -gt 0 ]; do
-    case "$1" in
-        --smoke) MODE=smoke ;;
-        --out)
-            shift
-            [ $# -gt 0 ] || { echo "--out requires a path" >&2; exit 2; }
-            OUT=$1
-            ;;
-        *)
-            echo "usage: scripts/bench.sh [--smoke] [--out PATH]" >&2
-            exit 2
-            ;;
-    esac
-    shift
-done
+if [ $# -gt 0 ]; then
+    echo "usage: scripts/bench.sh" >&2
+    exit 2
+fi
 
 cargo build --release -p iobench
 
@@ -111,32 +93,3 @@ echo "readahead jobs=1 vs jobs=4: stdout and stats JSON are byte-identical"
 # Every experiment against the committed baseline. New experiments get
 # their determinism coverage here, not another cmp leg above.
 scripts/surfaces.sh --check
-
-if [ "$MODE" = smoke ]; then
-    cargo bench -p bench --bench wallclock -- --smoke --out "$OUT"
-else
-    cargo bench -p bench --bench wallclock -- --out "$OUT"
-fi
-
-# Attach a host profile of the same parallel workload the bench timed, so
-# the report names where the wall-clock went (per-worker utilization, top
-# phase sinks). Diagnostic only: not part of the byte-identity surface.
-PERF_OUT="${OUT%.json}.perf.json"
-"$BIN" fig10 --quick --perf "$PERF_OUT" >/dev/null
-echo "wrote host profile to $PERF_OUT"
-
-# A parallel "speedup" below 1.0x means the fan-out made things slower;
-# the bench marks the document (attention != 0) and we shout about it
-# here, pointing at the profile that explains it.
-if grep -q '"attention":0' "$OUT"; then
-    echo "parallel speedup OK (attention marker clear)"
-else
-    echo "" >&2
-    echo "##################################################################" >&2
-    echo "# ATTENTION: parallel fig10 ran SLOWER than serial on this host. #" >&2
-    echo "# See \"parallel\" (speedup, per-worker utilization) in:          #" >&2
-    echo "#   $OUT" >&2
-    echo "# and the host profile (top wall-clock sinks) in:                #" >&2
-    echo "#   $PERF_OUT" >&2
-    echo "##################################################################" >&2
-fi

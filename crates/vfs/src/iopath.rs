@@ -133,8 +133,8 @@ pub struct FileStream {
     vnode: VnodeId,
     stream: StreamId,
     throttle: WriteThrottle,
-    /// The read-ahead state the mounts used to keep in their in-core
-    /// inodes.
+    /// The stream's read-ahead state: `nextr`/`nextrio`, or the adaptive
+    /// engine's.
     prefetcher: RefCell<Prefetcher>,
     /// `iopath.cluster_{read,write}_blocks{stream=N}`, registered together
     /// by the stream's first transfer in either direction.
@@ -153,12 +153,12 @@ pub struct FileStream {
 
 impl FileStream {
     /// Allocates a fresh stream id from the sim's registry and builds the
-    /// file's throttle against `write_limit` (None = unlimited). Mounts
-    /// open streams through [`FrontEnd::open_stream`], which supplies the
-    /// engine their policy selects.
+    /// file's throttle against `write_limit` (None = unlimited). Mounts go
+    /// through [`FrontEnd::open_stream`], which supplies the engine their
+    /// policy selects.
     ///
     /// [`FrontEnd::open_stream`]: crate::frontend::FrontEnd::open_stream
-    pub fn new(
+    pub(crate) fn new(
         sim: &Sim,
         vnode: VnodeId,
         write_limit: Option<u32>,

@@ -639,7 +639,7 @@ impl IoPath {
         tracer.arg(span, "blocks", n as u64);
         inner.cpu.charge("io_setup", inner.costs.io_setup).await;
         self.cluster_blocks(fstream).0.observe(n as u64);
-        let mut parts = Vec::new();
+        let mut parts = Vec::with_capacity(runs.len());
         for &(pbn, run_len) in &runs {
             if pages.is_empty() {
                 break;

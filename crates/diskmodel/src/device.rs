@@ -26,14 +26,33 @@ use crate::request::{DiskOp, DiskRequest, IoHandle, IoStatus};
 /// [`SharedDevice`]). The async wait side lives on [`IoHandle`]; the
 /// convenience read/write wrappers live in [`BlockDeviceExt`] so this
 /// trait stays dyn-compatible.
+///
+/// # The buffer travels with the request
+///
+/// [`DiskRequest::data`] is the request's transfer buffer in both
+/// directions, the way `struct buf` carries `b_un.b_addr` down the driver
+/// and back to `biodone`. A write submits its payload there; a read may
+/// submit the buffer to be filled (exactly `nsect` sectors long — every
+/// byte of it is overwritten) or `None` to have the device allocate one.
+/// **Every** completion hands the buffer back in [`IoResult::data`],
+/// whatever its status: `Ok`, `MediaError` or `DeviceGone`, before or
+/// after the request reached a mechanism, from a drive, a fault wrapper or
+/// a volume. A layer that keeps a [`FreeList`] therefore allocates nothing
+/// per transfer, and a retry resubmits the buffer that came back. Only a
+/// read submitted without a buffer can complete without one, when it fails
+/// before any device allocated it.
+///
+/// [`IoResult::data`]: crate::IoResult::data
+/// [`FreeList`]: crate::FreeList
 pub trait BlockDevice {
     /// Submits an arbitrary request (including `ordered` barriers) and
     /// returns the handle to await its completion.
     ///
-    /// Malformed requests (zero length, out of range, payload length
-    /// mismatch) are bugs in the layer above: implementations trip a
-    /// `debug_assert!` and, in release builds, complete the handle with
-    /// [`IoStatus::MediaError`] instead of panicking.
+    /// Malformed requests (zero length, out of range, buffer length
+    /// mismatch, write without payload) are bugs in the layer above:
+    /// implementations trip a `debug_assert!` and, in release builds,
+    /// complete the handle with [`IoStatus::MediaError`] instead of
+    /// panicking.
     fn submit(&self, req: DiskRequest) -> IoHandle;
 
     /// Bytes per sector (the transfer alignment unit).
@@ -69,17 +88,24 @@ pub trait BlockDevice {
 
     /// Submits a read of `nsect` sectors at `lba` on behalf of `stream`.
     fn submit_read_tagged(&self, lba: u64, nsect: u32, stream: u32) -> IoHandle {
-        self.submit_read_for(lba, nsect, stream, SpanId::NONE)
+        self.submit_read_for(lba, nsect, None, stream, SpanId::NONE)
     }
 
-    /// Submits a read on behalf of `stream`, parenting the device's trace
-    /// spans under `span`.
-    fn submit_read_for(&self, lba: u64, nsect: u32, stream: u32, span: SpanId) -> IoHandle {
+    /// Submits a read into `buf` (`None`: the device allocates) on behalf
+    /// of `stream`, parenting the device's trace spans under `span`.
+    fn submit_read_for(
+        &self,
+        lba: u64,
+        nsect: u32,
+        buf: Option<Vec<u8>>,
+        stream: u32,
+        span: SpanId,
+    ) -> IoHandle {
         self.submit(DiskRequest {
             op: DiskOp::Read,
             lba,
             nsect,
-            data: None,
+            data: buf,
             ordered: false,
             stream,
             span,
@@ -140,6 +166,11 @@ pub trait BlockDeviceExt: BlockDevice {
     /// error (transient faults clear under retry; latent ones do not).
     async fn try_read(&self, lba: u64, nsect: u32) -> Result<Vec<u8>, IoStatus>;
 
+    /// [`BlockDeviceExt::try_read`] into the caller's buffer, which is
+    /// sized to the transfer here and comes back filled — for loops that
+    /// read block after block through one allocation.
+    async fn try_read_into(&self, lba: u64, nsect: u32, buf: Vec<u8>) -> Result<Vec<u8>, IoStatus>;
+
     /// Write and wait, with the same bounded retry as
     /// [`BlockDeviceExt::try_read`].
     async fn try_write(&self, lba: u64, nsect: u32, data: Vec<u8>) -> Result<(), IoStatus>;
@@ -162,39 +193,56 @@ pub trait BlockDeviceExt: BlockDevice {
     async fn write(&self, lba: u64, nsect: u32, data: Vec<u8>);
 }
 
-impl<T: BlockDevice + ?Sized> BlockDeviceExt for T {
-    async fn try_read(&self, lba: u64, nsect: u32) -> Result<Vec<u8>, IoStatus> {
-        let mut attempt = 0;
-        loop {
-            let res = self.submit_read(lba, nsect).wait().await;
-            match res.status {
-                IoStatus::Ok => return Ok(res.data.expect("read returns data")),
-                IoStatus::MediaError if attempt < EXT_RETRIES => attempt += 1,
-                status => return Err(status),
+/// The one read-and-wait loop: a retry resubmits whatever buffer the
+/// failed completion handed back.
+async fn read_retrying<T: BlockDevice + ?Sized>(
+    dev: &T,
+    lba: u64,
+    nsect: u32,
+    mut buf: Option<Vec<u8>>,
+) -> Result<Vec<u8>, IoStatus> {
+    let mut attempt = 0;
+    loop {
+        let res = dev
+            .submit_read_for(lba, nsect, buf, 0, SpanId::NONE)
+            .wait()
+            .await;
+        match res.status {
+            IoStatus::Ok => return Ok(res.data.expect("read returns data")),
+            IoStatus::MediaError if attempt < EXT_RETRIES => {
+                attempt += 1;
+                buf = res.data;
             }
+            status => return Err(status),
         }
     }
+}
 
-    async fn try_write(&self, lba: u64, nsect: u32, data: Vec<u8>) -> Result<(), IoStatus> {
+impl<T: BlockDevice + ?Sized> BlockDeviceExt for T {
+    async fn try_read(&self, lba: u64, nsect: u32) -> Result<Vec<u8>, IoStatus> {
+        read_retrying(self, lba, nsect, None).await
+    }
+
+    async fn try_read_into(
+        &self,
+        lba: u64,
+        nsect: u32,
+        mut buf: Vec<u8>,
+    ) -> Result<Vec<u8>, IoStatus> {
+        buf.resize(nsect as usize * self.sector_size() as usize, 0);
+        read_retrying(self, lba, nsect, Some(buf)).await
+    }
+
+    async fn try_write(&self, lba: u64, nsect: u32, mut data: Vec<u8>) -> Result<(), IoStatus> {
         let mut attempt = 0;
         loop {
-            // Submission consumes its payload, so retries need the original
-            // kept here. These wrappers carry metadata traffic (superblock,
-            // group headers, mkfs), not the clustered data path — the extra
-            // clone per write is off the hot path, and the last attempt
-            // moves the buffer instead of copying it.
-            let payload = if attempt < EXT_RETRIES {
-                data.clone()
-            } else {
-                return match self.submit_write(lba, nsect, data).wait().await.status {
-                    IoStatus::Ok => Ok(()),
-                    status => Err(status),
-                };
-            };
-            let res = self.submit_write(lba, nsect, payload).wait().await;
+            let res = self.submit_write(lba, nsect, data).wait().await;
             match res.status {
                 IoStatus::Ok => return Ok(()),
-                IoStatus::MediaError => attempt += 1,
+                IoStatus::MediaError if attempt < EXT_RETRIES => {
+                    attempt += 1;
+                    data = res.data.expect("a completion returns its buffer");
+                }
                 status => return Err(status),
             }
         }

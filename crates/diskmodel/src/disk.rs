@@ -396,32 +396,13 @@ impl Disk {
             .sleep(self.inner.params.controller_overhead)
             .await;
 
-        let span_data = match op {
+        match op {
             DiskOp::Read => {
-                let data = self
-                    .media_read(span_lba, span_sectors, batch[0].req.stream, svc)
-                    .await;
-                Some(data)
+                self.media_read(span_lba, span_sectors, batch[0].req.stream, svc)
+                    .await
             }
-            DiskOp::Write => {
-                let ssz = self.inner.params.geometry.sector_size as usize;
-                let mut payload = Vec::with_capacity(span_sectors as usize * ssz);
-                for q in &batch {
-                    match q.req.data.as_deref() {
-                        Some(d) => payload.extend_from_slice(d),
-                        None => {
-                            // Upstream bug (submit validates this); the
-                            // debug build trips, the release build writes
-                            // zeros of the right length instead of dying.
-                            debug_assert!(false, "write request without payload");
-                            payload.resize(payload.len() + q.req.nsect as usize * ssz, 0);
-                        }
-                    }
-                }
-                self.media_write(span_lba, span_sectors, &payload).await;
-                None
-            }
-        };
+            DiskOp::Write => self.media_write(span_lba, span_sectors).await,
+        }
 
         let finished_at = self.inner.sim.now();
         tracer.end(svc);
@@ -482,13 +463,34 @@ impl Disk {
                 m.stream_sectors(q.req.stream, op).add(q.req.nsect as u64);
             }
         }
-        // Complete every sub-request, slicing read data per requester.
+        // Complete every sub-request, moving its bytes between the store
+        // and its own buffer, which goes back to the requester.
         let ssz = self.inner.params.geometry.sector_size as usize;
         for q in batch {
-            let data = span_data.as_ref().map(|d| {
-                let off = (q.req.lba - span_lba) as usize * ssz;
-                d[off..off + q.req.nsect as usize * ssz].to_vec()
-            });
+            let req = q.req;
+            let data = match op {
+                DiskOp::Read => {
+                    let mut buf = req
+                        .data
+                        .unwrap_or_else(|| vec![0u8; req.nsect as usize * ssz]);
+                    self.inner
+                        .store
+                        .borrow()
+                        .read_into(req.lba, req.nsect, &mut buf);
+                    Some(buf)
+                }
+                DiskOp::Write => {
+                    // `submit` admits no write without its payload.
+                    debug_assert!(req.data.is_some(), "write request without payload");
+                    if let Some(payload) = &req.data {
+                        self.inner
+                            .store
+                            .borrow_mut()
+                            .write(req.lba, req.nsect, payload);
+                    }
+                    req.data
+                }
+            };
             q.slot.borrow_mut().result = Some(IoResult::ok(data, finished_at));
             q.event.signal();
         }
@@ -557,8 +559,11 @@ impl Disk {
         }
     }
 
-    async fn media_read(&self, lba: u64, nsect: u32, stream: u32, svc: SpanId) -> Vec<u8> {
-        let g = self.inner.params.geometry.clone();
+    /// Charges the time of reading `[lba, lba + nsect)` — positioning,
+    /// rotation and transfer, or the track buffer's bus transfer. Timing
+    /// only: the caller moves the bytes once this returns.
+    async fn media_read(&self, lba: u64, nsect: u32, stream: u32, svc: SpanId) {
+        let g = &self.inner.params.geometry;
         let mut remaining = nsect;
         let mut cur = lba;
         // Host (bus) transfers from the track buffer overlap the
@@ -639,11 +644,12 @@ impl Disk {
         if host_until > self.inner.sim.now() {
             self.inner.sim.sleep_until(host_until).await;
         }
-        self.inner.store.borrow().read(lba, nsect)
     }
 
-    async fn media_write(&self, lba: u64, nsect: u32, data: &[u8]) {
-        let g = self.inner.params.geometry.clone();
+    /// Charges the time of writing `[lba, lba + nsect)` through to the
+    /// media. Timing only, like [`Disk::media_read`].
+    async fn media_write(&self, lba: u64, nsect: u32) {
+        let g = &self.inner.params.geometry;
         let mut remaining = nsect;
         let mut cur = lba;
         while remaining > 0 {
@@ -671,7 +677,6 @@ impl Disk {
             cur += run as u64;
             remaining -= run;
         }
-        self.inner.store.borrow_mut().write(lba, nsect, data);
     }
 }
 
@@ -680,12 +685,16 @@ impl Disk {
     /// (malformed requests are bugs in the layer above), the release build
     /// completes the handle immediately with [`IoStatus::MediaError`] so
     /// the error path above gets exercised instead of the process dying.
-    fn reject(&self, why: &'static str) -> IoHandle {
+    /// The request's buffer goes back with the error.
+    fn reject(&self, why: &'static str, req: DiskRequest) -> IoHandle {
         debug_assert!(false, "malformed disk request: {why}");
         let _ = why;
         let (handle, event, slot) = new_handle();
-        slot.borrow_mut().result =
-            Some(IoResult::error(IoStatus::MediaError, self.inner.sim.now()));
+        slot.borrow_mut().result = Some(IoResult::error(
+            IoStatus::MediaError,
+            req.data,
+            self.inner.sim.now(),
+        ));
         event.signal();
         handle
     }
@@ -694,20 +703,20 @@ impl Disk {
 impl BlockDevice for Disk {
     fn submit(&self, req: DiskRequest) -> IoHandle {
         if req.nsect == 0 {
-            return self.reject("zero-length disk request");
+            return self.reject("zero-length disk request", req);
         }
         if req.lba + req.nsect as u64 > self.inner.params.geometry.total_sectors() {
-            return self.reject("request beyond end of device");
+            return self.reject("request beyond end of device", req);
         }
         match &req.data {
             Some(data)
                 if data.len()
                     != req.nsect as usize * self.inner.params.geometry.sector_size as usize =>
             {
-                return self.reject("write payload length mismatch");
+                return self.reject("buffer length mismatch", req);
             }
             None if req.op == DiskOp::Write => {
-                return self.reject("write without payload");
+                return self.reject("write without payload", req);
             }
             _ => {}
         }

@@ -495,7 +495,8 @@ impl BlockDevice for FaultDevice {
             if inner.die_at.get().is_some_and(|t| inner.sim.now() >= t) {
                 inner.sim.sleep(ns(FAULT_GONE_LATENCY_NS)).await;
                 s.counter("fault.injected{kind=gone}").inc();
-                completion.complete(IoResult::error(IoStatus::DeviceGone, inner.sim.now()));
+                let now = inner.sim.now();
+                completion.complete(IoResult::error(IoStatus::DeviceGone, req.data, now));
                 return;
             }
             // Media faults fail the transfer before any data moves (a
@@ -504,11 +505,13 @@ impl BlockDevice for FaultDevice {
             if inner.check_media(req.lba, req.nsect) {
                 inner.sim.sleep(ns(FAULT_ERROR_LATENCY_NS)).await;
                 s.counter("fault.injected{kind=media}").inc();
-                completion.complete(IoResult::error(IoStatus::MediaError, inner.sim.now()));
+                let now = inner.sim.now();
+                completion.complete(IoResult::error(IoStatus::MediaError, req.data, now));
                 return;
             }
-            // Journal the write before forwarding (submission consumes the
-            // payload). The index stays valid: the journal is append-only.
+            // Journal the write before forwarding (the payload travels on
+            // with the request). The index stays valid: the journal is
+            // append-only.
             let jidx = match (&inner.journal, req.op) {
                 (Some(j), DiskOp::Write) => {
                     let mut j = j.borrow_mut();
@@ -524,10 +527,14 @@ impl BlockDevice for FaultDevice {
             };
             let res = inner.base.submit(req).wait().await;
             // In flight when the spindle died: the completion never
-            // reached the host.
+            // reached the host, which still gets its buffer back.
             if inner.die_at.get().is_some_and(|t| res.finished_at >= t) {
                 s.counter("fault.injected{kind=gone}").inc();
-                completion.complete(IoResult::error(IoStatus::DeviceGone, res.finished_at));
+                completion.complete(IoResult::error(
+                    IoStatus::DeviceGone,
+                    res.data,
+                    res.finished_at,
+                ));
                 return;
             }
             if let (Some(j), Some(idx)) = (&inner.journal, jidx) {

@@ -24,6 +24,7 @@
 pub mod device;
 pub mod disk;
 pub mod fault;
+mod freelist;
 pub mod geometry;
 mod queue;
 pub mod request;
@@ -33,6 +34,7 @@ mod trackbuf;
 pub use device::{BlockDevice, BlockDeviceExt, SharedDevice, EXT_RETRIES};
 pub use disk::{Disk, DiskParams, DiskStats, SeekModel};
 pub use fault::{FaultDevice, FaultParseError, FaultPlan, ReplayWrite, SpindleFaults};
+pub use freelist::FreeList;
 pub use geometry::{Chs, Geometry, Zone};
 pub use request::{handle_pair, DiskOp, DiskRequest, IoCompletion, IoHandle, IoResult, IoStatus};
 pub use store::SectorStore;

@@ -23,7 +23,13 @@ pub struct DiskRequest {
     pub lba: u64,
     /// Sector count (must be positive).
     pub nsect: u32,
-    /// Payload for writes (exactly `nsect` sectors); `None` for reads.
+    /// The transfer buffer, exactly `nsect` sectors long. A write carries
+    /// its payload here; a read may carry the buffer the device is to fill
+    /// (whatever it held is overwritten), or `None` to have the device
+    /// allocate one. Either way the buffer rides the request down and
+    /// comes back in [`IoResult::data`] — see [`BlockDevice`].
+    ///
+    /// [`BlockDevice`]: crate::BlockDevice
     pub data: Option<Vec<u8>>,
     /// The paper's proposed `B_ORDER` flag: this request may not be
     /// reordered with respect to any other request by `disksort`, the
@@ -68,7 +74,11 @@ impl IoStatus {
 /// Completion record delivered when a request finishes.
 #[derive(Debug)]
 pub struct IoResult {
-    /// Data read from media (successful reads only; `None` on failure).
+    /// The request's buffer, handed back whatever the status: the bytes
+    /// read on a successful read, the payload as submitted on a write, and
+    /// unspecified contents on a failed read. `None` only when the request
+    /// carried no buffer and the device never allocated one (a read that
+    /// failed before it reached a mechanism).
     pub data: Option<Vec<u8>>,
     /// Virtual time at which the transfer completed (or failed).
     pub finished_at: SimTime,
@@ -86,11 +96,12 @@ impl IoResult {
         }
     }
 
-    /// A failed completion: no data, the given status.
-    pub fn error(status: IoStatus, finished_at: SimTime) -> IoResult {
+    /// A failed completion with the given status, returning the
+    /// request's buffer `data` to the submitter.
+    pub fn error(status: IoStatus, data: Option<Vec<u8>>, finished_at: SimTime) -> IoResult {
         debug_assert!(!status.is_ok(), "error result with Ok status");
         IoResult {
-            data: None,
+            data,
             finished_at,
             status,
         }

@@ -11,8 +11,8 @@ const CHUNK_SECTORS: u64 = 128; // 64 KB chunks at 512 B sectors.
 
 /// Yields one chunk-aligned run per chunk touched by `[lba, lba + nsect)`:
 /// `(chunk_idx, byte offset within the chunk, byte offset within the
-/// transfer, run length in bytes)`. Lets `read`/`write` do one hash lookup
-/// and one `copy_from_slice` per chunk instead of one per sector.
+/// transfer, run length in bytes)`. Lets `read_into`/`write` do one hash
+/// lookup and one `copy_from_slice` per chunk instead of one per sector.
 fn chunk_runs(
     lba: u64,
     nsect: u32,
@@ -89,22 +89,44 @@ impl SectorStore {
         self.total_sectors.saturating_sub(lba).min(nsect as u64) as u32
     }
 
-    /// Reads `nsect` sectors starting at `lba`.
+    /// Reads `nsect` sectors starting at `lba` into a fresh buffer.
     ///
     /// # Panics
     ///
     /// Debug builds panic if the range exceeds the device capacity;
     /// release builds return zeros for the out-of-range tail.
     pub fn read(&self, lba: u64, nsect: u32) -> Vec<u8> {
-        let clipped = self.clip_range(lba, nsect);
         let mut out = vec![0u8; nsect as usize * self.sector_size];
+        self.read_into(lba, nsect, &mut out);
+        out
+    }
+
+    /// Reads `nsect` sectors starting at `lba` into `out` (exactly `nsect`
+    /// sectors long). Every byte of `out` is overwritten — sectors never
+    /// written read as zeros — so a recycled buffer cannot leak what it
+    /// held before.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if the range exceeds capacity or `out` has the
+    /// wrong length; release builds fill what `out` can hold and zero the
+    /// out-of-range tail.
+    pub fn read_into(&self, lba: u64, nsect: u32, out: &mut [u8]) {
+        let mut clipped = self.clip_range(lba, nsect);
+        debug_assert_eq!(
+            out.len(),
+            nsect as usize * self.sector_size,
+            "read buffer length mismatch"
+        );
+        clipped = clipped.min((out.len() / self.sector_size) as u32);
         for (chunk_idx, within, xfer, run) in chunk_runs(lba, clipped, self.sector_size) {
-            // Absent chunks stay zero: `out` is pre-zeroed.
-            if let Some(chunk) = self.chunks.get(&chunk_idx) {
-                out[xfer..xfer + run].copy_from_slice(&chunk[within..within + run]);
+            let dst = &mut out[xfer..xfer + run];
+            match self.chunks.get(&chunk_idx) {
+                Some(chunk) => dst.copy_from_slice(&chunk[within..within + run]),
+                None => dst.fill(0),
             }
         }
-        out
+        out[clipped as usize * self.sector_size..].fill(0);
     }
 
     /// Writes `data` (must be exactly `nsect` sectors) starting at `lba`.
@@ -188,6 +210,18 @@ mod tests {
     fn read_past_end_panics() {
         let s = SectorStore::new(512, 10);
         s.read(8, 4);
+    }
+
+    #[test]
+    fn read_into_overwrites_a_recycled_buffer() {
+        let mut s = SectorStore::new(512, 1000);
+        s.write(127, 1, &[7u8; 512]); // Last sector of chunk 0; chunk 1 absent.
+        let mut buf = vec![0xAAu8; 3 * 512];
+        s.read_into(126, 3, &mut buf);
+        assert_eq!(buf, s.read(126, 3));
+        assert!(buf[..512].iter().all(|&b| b == 0), "unwritten, same chunk");
+        assert!(buf[512..1024].iter().all(|&b| b == 7));
+        assert!(buf[1024..].iter().all(|&b| b == 0), "absent chunk");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! request completes, data round-trips exactly, ordering constraints hold,
 //! and the virtual clock only moves forward.
 
-use diskmodel::{BlockDevice, BlockDeviceExt, Disk, DiskOp, DiskParams, DiskRequest};
+use diskmodel::{BlockDevice, BlockDeviceExt, Disk, DiskOp, DiskParams, DiskRequest, SectorStore};
 use proptest::prelude::*;
 use simkit::Sim;
 
@@ -142,5 +142,30 @@ proptest! {
                 }
             }
         });
+    }
+
+    /// A recycled buffer never leaks what it held: whatever was written
+    /// (zero payloads and never-touched chunks included), `read_into` a
+    /// garbage-filled buffer gives exactly the bytes a flat model holds,
+    /// which is also what `read` returns.
+    #[test]
+    fn read_into_a_dirty_buffer_equals_read(
+        writes in proptest::collection::vec((0u64..1_000, 1u32..200, any::<u8>(), any::<bool>()), 0..12),
+        reads in proptest::collection::vec((0u64..1_000, 1u32..300, any::<u8>()), 1..12),
+    ) {
+        const TOTAL: u64 = 1_400; // Eleven 128-sector chunks; some stay absent.
+        let mut store = SectorStore::new(512, TOTAL);
+        let mut model = vec![0u8; TOTAL as usize * 512];
+        for &(lba, nsect, seed, zeros) in &writes {
+            let data = if zeros { vec![0u8; nsect as usize * 512] } else { payload(nsect, seed) };
+            store.write(lba, nsect, &data);
+            model[lba as usize * 512..][..data.len()].copy_from_slice(&data);
+        }
+        for &(lba, nsect, garbage) in &reads {
+            let mut buf = vec![garbage | 1; nsect as usize * 512];
+            store.read_into(lba, nsect, &mut buf);
+            prop_assert_eq!(&buf[..], &model[lba as usize * 512..][..buf.len()]);
+            prop_assert_eq!(buf, store.read(lba, nsect));
+        }
     }
 }

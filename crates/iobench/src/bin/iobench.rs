@@ -265,7 +265,6 @@ fn take_count_flag(args: &mut Vec<String>, flag: &str) -> Option<usize> {
 }
 
 fn main() {
-    simkit::tune_host_allocator();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let stats_path = take_value_flag(&mut args, "--stats-json");
     let trace_path = take_value_flag(&mut args, "--trace");

@@ -37,7 +37,6 @@
 pub mod channel;
 pub mod cpu;
 pub mod executor;
-pub mod host;
 pub mod perfmon;
 pub mod rng;
 pub mod stats;
@@ -48,7 +47,6 @@ pub mod trace;
 pub use channel::{channel, Receiver, SendError, Sender};
 pub use cpu::{Cpu, TagStat};
 pub use executor::{JoinHandle, Sim, Sleep, TaskId, TimeHandle, YieldNow};
-pub use host::tune_host_allocator;
 pub use perfmon::{PhaseGuard, PhaseRecord, Telemetry};
 pub use rng::SimRng;
 pub use stats::{Counter, Gauge, Histogram, NameId, StatsRegistry, TimeWeighted};

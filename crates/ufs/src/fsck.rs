@@ -47,9 +47,17 @@ impl FsckReport {
     }
 }
 
-async fn read_block(disk: &dyn BlockDevice, pbn: u64) -> Vec<u8> {
-    disk.read(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK)
+/// Reads block `pbn` into `buf` and hands it back: the passes below read
+/// every inode-table, indirect and directory block of the disk, one after
+/// another, through the same allocation.
+///
+/// # Panics
+///
+/// Panics on an unrecoverable device error, like [`BlockDeviceExt::read`].
+async fn read_block(disk: &dyn BlockDevice, pbn: u64, buf: Vec<u8>) -> Vec<u8> {
+    disk.try_read_into(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK, buf)
         .await
+        .expect("unrecoverable device error on read")
 }
 
 fn read_ptr(block: &[u8], idx: usize) -> u32 {
@@ -63,8 +71,8 @@ fn read_ptr(block: &[u8], idx: usize) -> u32 {
 /// any state of the disk.
 pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     let mut report = FsckReport::default();
-    let raw = read_block(disk, SB_BLOCK).await;
-    let Some(sb) = Superblock::decode(&raw) else {
+    let mut buf = read_block(disk, SB_BLOCK, Vec::new()).await;
+    let Some(sb) = Superblock::decode(&buf) else {
         report
             .unfixable
             .push("superblock: bad magic; restore from backup".to_string());
@@ -76,8 +84,8 @@ pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     let mut cgs = Vec::new();
     for cgx in 0..sb.ncg {
         report.checked += 1;
-        let raw = read_block(disk, sb.cg_start(cgx)).await;
-        match CgHeader::decode(&raw) {
+        buf = read_block(disk, sb.cg_start(cgx), buf).await;
+        match CgHeader::decode(&buf) {
             Some(cg) if cg.cgx == cgx => cgs.push(cg),
             Some(cg) => {
                 report
@@ -95,6 +103,9 @@ pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     // Pass 1: walk inodes, collect block claims.
     let mut claims: HashMap<u64, u32> = HashMap::new(); // pbn -> first claiming ino
     let mut dinodes: HashMap<u32, Dinode> = HashMap::new();
+    // The second-level map of a double-indirect walk, read while `buf`
+    // holds the first.
+    let mut buf2 = Vec::new();
     let mut claim = |report: &mut FsckReport, ino: u32, pbn: u64| {
         if !sb.is_data_block(pbn) {
             report
@@ -118,8 +129,8 @@ pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
         }
         report.checked += 1;
         let (pbn, idx) = sb.inode_location(ino);
-        let block = read_block(disk, pbn).await;
-        let din = match Dinode::decode(&block[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]) {
+        buf = read_block(disk, pbn, buf).await;
+        let din = match Dinode::decode(&buf[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]) {
             Some(d) => d,
             None => {
                 report.errors.push(format!("ino {ino}: undecodable dinode"));
@@ -162,12 +173,12 @@ pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
                 if claim(&mut report, ino, din.indirect as u64) {
                     counted += 1;
                 }
-                let ind = read_block(disk, din.indirect as u64).await;
+                buf = read_block(disk, din.indirect as u64, buf).await;
                 let covered = nblocks
                     .saturating_sub(NDADDR as u64)
                     .min(PTRS_PER_BLOCK as u64);
                 for i in 0..covered as usize {
-                    let p = read_ptr(&ind, i);
+                    let p = read_ptr(&buf, i);
                     if p != 0 && claim(&mut report, ino, p as u64) {
                         counted += 1;
                     }
@@ -177,18 +188,18 @@ pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
                 if claim(&mut report, ino, din.double as u64) {
                     counted += 1;
                 }
-                let l1 = read_block(disk, din.double as u64).await;
+                buf = read_block(disk, din.double as u64, buf).await;
                 for i in 0..PTRS_PER_BLOCK {
-                    let mid = read_ptr(&l1, i);
+                    let mid = read_ptr(&buf, i);
                     if mid == 0 {
                         continue;
                     }
                     if claim(&mut report, ino, mid as u64) {
                         counted += 1;
                     }
-                    let l2 = read_block(disk, mid as u64).await;
+                    buf2 = read_block(disk, mid as u64, buf2).await;
                     for j in 0..PTRS_PER_BLOCK {
-                        let p = read_ptr(&l2, j);
+                        let p = read_ptr(&buf2, j);
                         if p != 0 && claim(&mut report, ino, p as u64) {
                             counted += 1;
                         }
@@ -229,7 +240,8 @@ pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
             if p == 0 {
                 continue;
             }
-            let data = read_block(disk, p as u64).await;
+            buf = read_block(disk, p as u64, buf).await;
+            let data = &buf;
             let mut pos = 0usize;
             while pos + 5 <= BLOCK_SIZE {
                 let ino = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
@@ -350,8 +362,8 @@ async fn write_block(disk: &dyn BlockDevice, pbn: u64, data: Vec<u8>) {
 /// reports clean.
 pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     let mut report = FsckReport::default();
-    let raw = read_block(disk, SB_BLOCK).await;
-    let Some(mut sb) = Superblock::decode(&raw) else {
+    let mut buf = read_block(disk, SB_BLOCK, Vec::new()).await;
+    let Some(mut sb) = Superblock::decode(&buf) else {
         report
             .unfixable
             .push("superblock: bad magic; restore from backup".to_string());
@@ -364,8 +376,8 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     let mut cgs = Vec::new();
     for cgx in 0..sb.ncg {
         report.checked += 1;
-        let raw = read_block(disk, sb.cg_start(cgx)).await;
-        match CgHeader::decode(&raw) {
+        buf = read_block(disk, sb.cg_start(cgx), buf).await;
+        match CgHeader::decode(&buf) {
             Some(mut cg) => {
                 if cg.cgx != cgx {
                     report
@@ -388,16 +400,19 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     let mut claims: HashMap<u64, u32> = HashMap::new(); // pbn -> claiming ino
     let mut dinodes: HashMap<u32, Dinode> = HashMap::new();
     let mut dirty_inos: HashSet<u32> = HashSet::new();
-    // Indirect blocks whose pointer arrays were sanitized, by pbn.
+    // Indirect blocks whose pointer arrays were sanitized, by pbn. A
+    // sanitized block keeps its buffer; every other read reuses `buf`
+    // (`buf2` under a double-indirect walk's first-level map).
     let mut dirty_indirects: HashMap<u64, Vec<u8>> = HashMap::new();
+    let mut buf2 = Vec::new();
 
     for ino in 2..sb.total_inodes() {
         report.checked += 1;
         let (pbn, idx) = sb.inode_location(ino);
-        let block = read_block(disk, pbn).await;
+        buf = read_block(disk, pbn, buf).await;
         let cgx = (ino / sb.inodes_per_cg) as usize;
         let bit = ino % sb.inodes_per_cg;
-        let mut din = match Dinode::decode(&block[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]) {
+        let mut din = match Dinode::decode(&buf[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]) {
             Some(d) => d,
             None => {
                 // Nothing recoverable in the slot: free it.
@@ -487,7 +502,7 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
         let mut indirect = din.indirect;
         if claim(&mut report, &mut indirect, "indirect") {
             counted += 1;
-            let mut ind = read_block(disk, indirect as u64).await;
+            let mut ind = read_block(disk, indirect as u64, std::mem::take(&mut buf)).await;
             let covered = nblocks
                 .saturating_sub(NDADDR as u64)
                 .min(PTRS_PER_BLOCK as u64);
@@ -503,6 +518,8 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
             }
             if changed {
                 dirty_indirects.insert(indirect as u64, ind);
+            } else {
+                buf = ind;
             }
         }
         if indirect != din.indirect {
@@ -512,7 +529,7 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
         let mut double = din.double;
         if claim(&mut report, &mut double, "double-indirect") {
             counted += 1;
-            let mut l1 = read_block(disk, double as u64).await;
+            let mut l1 = read_block(disk, double as u64, std::mem::take(&mut buf)).await;
             let mut l1_changed = false;
             for i in 0..PTRS_PER_BLOCK {
                 let mut mid = read_ptr(&l1, i);
@@ -521,7 +538,7 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
                 }
                 if claim(&mut report, &mut mid, "double-indirect map") {
                     counted += 1;
-                    let mut l2 = read_block(disk, mid as u64).await;
+                    let mut l2 = read_block(disk, mid as u64, std::mem::take(&mut buf2)).await;
                     let mut l2_changed = false;
                     for j in 0..PTRS_PER_BLOCK {
                         let mut p = read_ptr(&l2, j);
@@ -537,6 +554,8 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
                     }
                     if l2_changed {
                         dirty_indirects.insert(mid as u64, l2);
+                    } else {
+                        buf2 = l2;
                     }
                 } else {
                     l1[i * 4..i * 4 + 4].copy_from_slice(&0u32.to_le_bytes());
@@ -545,6 +564,8 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
             }
             if l1_changed {
                 dirty_indirects.insert(double as u64, l1);
+            } else {
+                buf = l1;
             }
         }
         if double != din.double {
@@ -588,7 +609,7 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
             if p == 0 {
                 continue;
             }
-            let mut data = read_block(disk, p as u64).await;
+            let mut data = read_block(disk, p as u64, std::mem::take(&mut buf)).await;
             let mut changed = false;
             let mut pos = 0usize;
             while pos + 5 <= BLOCK_SIZE {
@@ -624,6 +645,8 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
             }
             if changed {
                 write_block(disk, p as u64, data).await;
+            } else {
+                buf = data;
             }
         }
     }
@@ -745,7 +768,7 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     let mut blocks: Vec<u64> = by_block.keys().copied().collect();
     blocks.sort_unstable();
     for pbn in blocks {
-        let mut data = read_block(disk, pbn).await;
+        let mut data = read_block(disk, pbn, Vec::new()).await;
         for &ino in &by_block[&pbn] {
             let idx = sb.inode_location(ino).1;
             data[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]

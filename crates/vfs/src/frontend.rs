@@ -1014,6 +1014,50 @@ mod tests {
     }
 
     #[test]
+    fn retried_and_failed_transfers_return_every_buffer_they_borrowed() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.run_until(async move {
+            let w = world_split(&s, 6).await;
+            let bufs = w.front.io().bufs();
+            let retries = || s.stats().counter_value("io.retries");
+            // A two-part demand read whose second part heals on its third
+            // try: two buffers out at once, both home afterwards.
+            w.arm(6, 2, 2);
+            w.front.getpage(&*w.toy, 4, 4, SpanId::NONE).await.unwrap();
+            assert_eq!(retries(), 2);
+            assert_eq!((bufs.lent(), bufs.idle()), (0, 2));
+            // A cluster write that heals on its third try goes out in one
+            // of those buffers, and what lands is the snapshot it carried.
+            let data: Vec<u8> = (0..2 * BS).map(|i| (i % 249) as u8).collect();
+            w.front
+                .write(&*w.toy, 0, &data, AccessMode::Copy)
+                .await
+                .unwrap();
+            w.arm(0, 2, 2);
+            w.front.fsync_data(&*w.toy).await.unwrap();
+            assert_eq!(retries(), 4);
+            assert_eq!((bufs.lent(), bufs.idle()), (0, 2));
+            assert_eq!(
+                w.disk.read(BASE as u64 * SECTORS as u64, 2 * SECTORS).await,
+                data
+            );
+            // Transfers that fail for good give their buffers back too.
+            w.cache.invalidate_vnode(7, 0);
+            w.arm(4, 2, IO_RETRY_MAX + 1);
+            let failed = w.front.getpage(&*w.toy, 4, 4, SpanId::NONE).await;
+            assert_eq!(failed.err(), Some(FsError::Io));
+            w.front
+                .write(&*w.toy, 0, &data[..BS], AccessMode::Copy)
+                .await
+                .unwrap();
+            w.arm(0, 1, IO_RETRY_MAX + 1);
+            assert_eq!(w.front.fsync_data(&*w.toy).await, Err(FsError::Io));
+            assert_eq!((bufs.lent(), bufs.idle()), (0, 2));
+        });
+    }
+
+    #[test]
     fn a_failed_readahead_part_costs_only_its_own_pages() {
         let sim = Sim::new();
         let s = sim.clone();

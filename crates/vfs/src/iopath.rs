@@ -37,7 +37,7 @@ use clufs::{
     DelayedWrite, PrefetchPlan, PrefetchRun, Prefetcher, WriteThrottle, IO_RETRY_BACKOFF_MS,
     IO_RETRY_MAX, LEN_EDGES,
 };
-use diskmodel::{BlockDeviceExt, IoHandle, IoStatus, SharedDevice};
+use diskmodel::{BlockDeviceExt, FreeList, IoHandle, IoStatus, SharedDevice};
 use pagecache::{PageCache, PageId, PageKey};
 use simkit::stats::{Counter, Histogram};
 use simkit::{Cpu, Notify, Sim, SimDuration, SpanId};
@@ -276,6 +276,11 @@ struct IoPathInner {
     /// pages as wasted when their identity is destroyed.
     ra_pending: Rc<RefCell<HashSet<PageKey>>>,
     pf: PrefetchMetrics,
+    /// Transfer buffers between uses: [`IoPath::issue_read`] and
+    /// [`IoPath::write_clusters`] lend one per transfer, and the completion
+    /// that hands it back returns it here. The write limit and the
+    /// prefetch window bound how many are ever out.
+    bufs: FreeList,
 }
 
 /// The per-mount I/O executor. Clones share the engine.
@@ -334,6 +339,7 @@ impl IoPath {
                 sectors_per_block: (block_size / sector) as u32,
                 ra_pending,
                 pf,
+                bufs: FreeList::new(),
             }),
         }
     }
@@ -395,6 +401,9 @@ impl IoPath {
     /// exponential virtual-time backoff (under an `iopath.retry` span); `DeviceGone`
     /// fails fast — the device will not answer, only redundancy below or
     /// the caller above can help. Terminal failures return `FsError::Io`.
+    /// The transfer's buffer comes back filled on success (the caller
+    /// returns it to the free list), is resubmitted on a retry, and goes
+    /// back to the free list here on a terminal failure.
     async fn await_read(
         &self,
         mut handle: IoHandle,
@@ -416,12 +425,15 @@ impl IoPath {
                     let rs = inner.sim.tracer().start("iopath.retry", stream, parent);
                     inner.sim.tracer().arg(rs, "attempt", attempt as u64 + 1);
                     inner.sim.sleep(backoff(attempt)).await;
-                    handle = inner.disk.submit_read_for(lba, nsect, stream, parent);
+                    handle = inner
+                        .disk
+                        .submit_read_for(lba, nsect, res.data, stream, parent);
                     inner.sim.tracer().end(rs);
                     attempt += 1;
                 }
                 status => {
                     self.count_terminal_error(status);
+                    self.inner.bufs.release(res.data);
                     return Err(FsError::Io);
                 }
             }
@@ -450,6 +462,12 @@ impl IoPath {
             inner.ra_pending.borrow_mut().remove(&key);
             inner.cache.invalidate_page(id);
         }
+    }
+
+    /// The executor's transfer-buffer free list.
+    #[cfg(test)]
+    pub(crate) fn bufs(&self) -> &FreeList {
+        &self.inner.bufs
     }
 
     /// The transfer unit (one page = one file system block).
@@ -648,7 +666,10 @@ impl IoPath {
             let pages = std::mem::replace(&mut pages, rest);
             let lba = pbn as u64 * inner.sectors_per_block as u64;
             let nsect = pages.len() as u32 * inner.sectors_per_block;
-            let handle = inner.disk.submit_read_for(lba, nsect, stream, span);
+            let buf = inner.bufs.take(pages.len() * inner.block_size);
+            let handle = inner
+                .disk
+                .submit_read_for(lba, nsect, Some(buf), stream, span);
             parts.push(ReadPart {
                 handle,
                 lba,
@@ -721,6 +742,7 @@ impl IoPath {
                             inner.cache.unbusy(*id);
                         }
                     }
+                    inner.bufs.give(data);
                 }
                 Err(_) => {
                     want_failed |= part.pages.iter().any(|&(l, _)| Some(l) == want_lbn);
@@ -812,11 +834,9 @@ impl IoPath {
             }
             let n = run.len() as u32;
             // Snapshot contents for the transfer.
-            let mut payload = Vec::with_capacity(n as usize * bs);
-            for pid in &run {
-                inner
-                    .cache
-                    .with_page(*pid, |d| payload.extend_from_slice(d));
+            let mut payload = inner.bufs.take(n as usize * bs);
+            for (pid, dst) in run.iter().zip(payload.chunks_exact_mut(bs)) {
+                inner.cache.with_page(*pid, |d| dst.copy_from_slice(d));
             }
             // A root span per cluster: the push completes after the caller
             // returns (see `ReadReason::Readahead`), so it cannot nest anywhere.
@@ -846,7 +866,7 @@ impl IoPath {
             inner.sim.spawn(async move {
                 let inner = &*this.inner;
                 let mut attempt = 0u32;
-                let status = loop {
+                let (status, payload) = loop {
                     let res = handle.wait().await;
                     inner.cpu.charge("io_intr", inner.costs.io_intr).await;
                     match res.status {
@@ -857,25 +877,20 @@ impl IoPath {
                             let rs = inner.sim.tracer().start("iopath.retry", stream, span);
                             inner.sim.tracer().arg(rs, "attempt", attempt as u64 + 1);
                             inner.sim.sleep(backoff(attempt)).await;
-                            // Re-snapshot the payload: the run's pages are
-                            // still locked busy by this writeback, so their
-                            // contents are stable and current.
-                            let bs = inner.block_size;
-                            let mut payload = Vec::with_capacity(run.len() * bs);
-                            for pid in &run {
-                                inner
-                                    .cache
-                                    .with_page(*pid, |d| payload.extend_from_slice(d));
-                            }
+                            // The failed completion handed the snapshot
+                            // back, and the run's pages are still locked
+                            // busy by this writeback: it is still current.
+                            let payload = res.data.expect("a completion returns its buffer");
                             handle = inner
                                 .disk
                                 .submit_write_for(lba, nsect, payload, stream, span);
                             inner.sim.tracer().end(rs);
                             attempt += 1;
                         }
-                        status => break status,
+                        status => break (status, res.data),
                     }
                 };
+                inner.bufs.release(payload);
                 if !status.is_ok() {
                     this.count_terminal_error(status);
                     // The data is lost; there is no caller to fail. Record

@@ -58,8 +58,8 @@ use std::task::{Context, Poll, Waker};
 
 use diskmodel::request::handle_pair;
 use diskmodel::{
-    BlockDevice, BlockDeviceExt, Disk, DiskOp, DiskParams, DiskRequest, DiskStats, IoCompletion,
-    IoHandle, IoResult, IoStatus, SharedDevice, EXT_RETRIES,
+    BlockDevice, BlockDeviceExt, Disk, DiskOp, DiskParams, DiskRequest, DiskStats, FreeList,
+    IoCompletion, IoHandle, IoResult, IoStatus, SharedDevice, EXT_RETRIES,
 };
 use simkit::{Sim, SpanId};
 
@@ -116,6 +116,13 @@ pub enum SpindleState {
 /// Sectors per copy unit of a RAID-1 rebuild sweep (64 KB at 512 B).
 const REBUILD_CHUNK: u64 = 128;
 
+/// `acc ^= src`, the whole of RAID-5's arithmetic.
+fn xor_into(acc: &mut [u8], src: &[u8]) {
+    for (a, b) in acc.iter_mut().zip(src) {
+        *a ^= b;
+    }
+}
+
 /// One child request: a contiguous run on one spindle, covering the listed
 /// `(offset, len)` byte ranges of the volume request's buffer in order.
 struct ChildIo {
@@ -151,6 +158,12 @@ struct VolInner {
     locked_rows: RefCell<HashSet<u64>>,
     /// Tasks waiting for any row lock to release.
     row_waiters: RefCell<Vec<Waker>>,
+    /// Child-request, parity and reconstruction buffers between uses. The
+    /// parent request's own buffer is never one of these: it goes back to
+    /// the submitter with the completion. A buffer whose child request is
+    /// abandoned (a failed RMW drops the reads it no longer needs) is
+    /// simply freed.
+    bufs: FreeList,
 }
 
 /// A RAID volume over N simulated drives. Clones share the volume.
@@ -212,6 +225,7 @@ impl Volume {
                 rebuild_dirty: RefCell::new(HashSet::new()),
                 locked_rows: RefCell::new(HashSet::new()),
                 row_waiters: RefCell::new(Vec::new()),
+                bufs: FreeList::new(),
             }),
         }
     }
@@ -357,30 +371,27 @@ impl Volume {
         svc
     }
 
-    /// Submits one child request under a fresh `vol.spindle` span.
-    /// `data: Some` means a write, `None` a read.
+    /// Submits one child request, with its buffer, under a fresh
+    /// `vol.spindle` span.
+    #[allow(clippy::too_many_arguments)]
     fn submit_child(
         &self,
         spindle: usize,
+        op: DiskOp,
         lba: u64,
         nsect: u32,
-        data: Option<Vec<u8>>,
+        data: Vec<u8>,
         req: &DiskRequest,
         svc: SpanId,
     ) -> (IoHandle, SpanId) {
         let tracer = self.inner.sim.tracer();
         let sp = tracer.start("vol.spindle", req.stream, svc);
         tracer.arg(sp, "spindle", spindle as u64);
-        let op = if data.is_some() {
-            DiskOp::Write
-        } else {
-            DiskOp::Read
-        };
         let h = self.child(spindle).submit(DiskRequest {
             op,
             lba,
             nsect,
-            data,
+            data: Some(data),
             ordered: req.ordered,
             stream: req.stream,
             span: sp,
@@ -388,10 +399,30 @@ impl Volume {
         (h, sp)
     }
 
+    /// Submits a child read into a buffer off the free list.
+    fn read_child(
+        &self,
+        spindle: usize,
+        lba: u64,
+        nsect: u32,
+        req: &DiskRequest,
+        svc: SpanId,
+    ) -> (IoHandle, SpanId) {
+        let buf = self.take_sectors(nsect);
+        self.submit_child(spindle, DiskOp::Read, lba, nsect, buf, req, svc)
+    }
+
+    /// A free-list buffer `nsect` sectors long.
+    fn take_sectors(&self, nsect: u32) -> Vec<u8> {
+        let len = nsect as usize * self.inner.sector_size as usize;
+        self.inner.bufs.take(len)
+    }
+
     /// Serves a child read some other way after its home spindle failed:
     /// RAID-1 from the next healthy leg, RAID-5 by XOR-reconstructing from
     /// every surviving spindle of the row, RAID-0 not at all. `why` is the
     /// status that sent us here and is returned when recovery also fails.
+    /// The bytes come back in a free-list buffer.
     async fn recover_read(
         &self,
         io: &ChildIo,
@@ -411,7 +442,7 @@ impl Volume {
                     if !self.healthy(j) {
                         continue;
                     }
-                    let (h, sp) = self.submit_child(j, io.lba, io.nsect, None, req, svc);
+                    let (h, sp) = self.read_child(j, io.lba, io.nsect, req, svc);
                     let res = h.wait().await;
                     self.inner.sim.tracer().end(sp);
                     match res.status {
@@ -419,6 +450,7 @@ impl Volume {
                         IoStatus::DeviceGone => self.mark_dead(j),
                         IoStatus::MediaError => {}
                     }
+                    self.inner.bufs.release(res.data);
                 }
                 Err(why)
             }
@@ -438,20 +470,21 @@ impl Volume {
                 let pending: Vec<(usize, IoHandle, SpanId)> = (0..n)
                     .filter(|&j| j != io.spindle)
                     .map(|j| {
-                        let (h, sp) = self.submit_child(j, io.lba, io.nsect, None, req, svc);
+                        let (h, sp) = self.read_child(j, io.lba, io.nsect, req, svc);
                         (j, h, sp)
                     })
                     .collect();
-                let mut acc = vec![0u8; io.nsect as usize * self.inner.sector_size as usize];
+                let mut acc = self
+                    .inner
+                    .bufs
+                    .take_zeroed(io.nsect as usize * self.inner.sector_size as usize);
                 let mut failed = None;
                 for (j, h, sp) in pending {
                     let res = h.wait().await;
                     self.inner.sim.tracer().end(sp);
                     match res.status {
                         IoStatus::Ok => {
-                            for (a, b) in acc.iter_mut().zip(res.data.expect("read returns data")) {
-                                *a ^= b;
-                            }
+                            xor_into(&mut acc, res.data.as_deref().expect("read returns data"))
                         }
                         st => {
                             if st == IoStatus::DeviceGone {
@@ -460,19 +493,28 @@ impl Volume {
                             failed = Some(st);
                         }
                     }
+                    self.inner.bufs.release(res.data);
                 }
                 match failed {
-                    Some(st) => Err(st),
+                    Some(st) => {
+                        self.inner.bufs.give(acc);
+                        Err(st)
+                    }
                     None => Ok(acc),
                 }
             }
         }
     }
 
-    async fn read_fan(&self, req: DiskRequest, ios: Vec<ChildIo>, completion: IoCompletion) {
+    async fn read_fan(&self, mut req: DiskRequest, ios: Vec<ChildIo>, completion: IoCompletion) {
         let svc = self.start_span("vol.read", &req);
         let ssz = self.inner.sector_size as usize;
-        let mut buf = vec![0u8; req.nsect as usize * ssz];
+        // The submitter's buffer (ours to allocate when it sent none): the
+        // children's pieces tile it, so every byte is overwritten.
+        let mut buf = req
+            .data
+            .take()
+            .unwrap_or_else(|| vec![0u8; req.nsect as usize * ssz]);
         // Submit to every healthy home spindle up front; known-bad homes
         // go straight to recovery when their turn comes.
         let pending: Vec<(ChildIo, Option<(IoHandle, SpanId)>)> = ios
@@ -480,7 +522,7 @@ impl Volume {
             .map(|io| {
                 let direct = self
                     .healthy(io.spindle)
-                    .then(|| self.submit_child(io.spindle, io.lba, io.nsect, None, &req, svc));
+                    .then(|| self.read_child(io.spindle, io.lba, io.nsect, &req, svc));
                 (io, direct)
             })
             .collect();
@@ -496,6 +538,7 @@ impl Volume {
                             if st == IoStatus::DeviceGone {
                                 self.mark_dead(io.spindle);
                             }
+                            self.inner.bufs.release(res.data);
                             self.recover_read(&io, &req, svc, st).await
                         }
                     }
@@ -512,6 +555,7 @@ impl Volume {
                         buf[*off..*off + *len].copy_from_slice(&data[src..src + *len]);
                         src += *len;
                     }
+                    self.inner.bufs.give(data);
                 }
                 Err(st) => failed = Some(st),
             }
@@ -519,14 +563,15 @@ impl Volume {
         self.inner.sim.tracer().end(svc);
         let now = self.inner.sim.now();
         completion.complete(match failed {
-            Some(st) => IoResult::error(st, now),
+            Some(st) => IoResult::error(st, Some(buf), now),
             None => IoResult::ok(Some(buf), now),
         });
     }
 
     /// Awaits a child write, retrying transient media errors in place (the
-    /// bytes are rebuilt by `payload()` per attempt). Returns the final
-    /// status; `DeviceGone` marks the spindle dead.
+    /// failed completion hands the bytes back) and putting the buffer back
+    /// on the free list when the write ends. Returns the final status;
+    /// `DeviceGone` marks the spindle dead.
     #[allow(clippy::too_many_arguments)]
     async fn await_child_write(
         &self,
@@ -537,7 +582,6 @@ impl Volume {
         nsect: u32,
         req: &DiskRequest,
         svc: SpanId,
-        payload: impl Fn() -> Vec<u8>,
     ) -> IoStatus {
         let mut attempt = 0;
         loop {
@@ -546,14 +590,15 @@ impl Volume {
             match res.status {
                 IoStatus::MediaError if attempt < EXT_RETRIES => {
                     attempt += 1;
-                    let (h, sp) = self.submit_child(spindle, lba, nsect, Some(payload()), req, svc);
-                    handle = h;
-                    span = sp;
+                    let data = res.data.expect("a completion returns its buffer");
+                    (handle, span) =
+                        self.submit_child(spindle, DiskOp::Write, lba, nsect, data, req, svc);
                 }
                 st => {
                     if st == IoStatus::DeviceGone {
                         self.mark_dead(spindle);
                     }
+                    self.inner.bufs.release(res.data);
                     return st;
                 }
             }
@@ -564,9 +609,11 @@ impl Volume {
         let svc = self.start_span("vol.write", &req);
         let payload = req.data.as_deref().expect("write carries payload");
         let child_bytes = |io: &ChildIo| {
-            let mut data = Vec::with_capacity(io.pieces.iter().map(|(_, l)| l).sum());
+            let mut data = self.take_sectors(io.nsect);
+            let mut dst = 0;
             for (off, len) in &io.pieces {
-                data.extend_from_slice(&payload[*off..*off + *len]);
+                data[dst..dst + *len].copy_from_slice(&payload[*off..*off + *len]);
+                dst += *len;
             }
             data
         };
@@ -587,9 +634,10 @@ impl Volume {
             .map(|io| {
                 let (h, sp) = self.submit_child(
                     io.spindle,
+                    DiskOp::Write,
                     io.lba,
                     io.nsect,
-                    Some(child_bytes(&io)),
+                    child_bytes(&io),
                     &req,
                     svc,
                 );
@@ -600,9 +648,7 @@ impl Volume {
         let mut last_err = None;
         for (io, h, sp) in pending {
             let st = self
-                .await_child_write(h, sp, io.spindle, io.lba, io.nsect, &req, svc, || {
-                    child_bytes(&io)
-                })
+                .await_child_write(h, sp, io.spindle, io.lba, io.nsect, &req, svc)
                 .await;
             match st {
                 IoStatus::Ok => ok += 1,
@@ -622,9 +668,9 @@ impl Volume {
             }
         };
         completion.complete(if success {
-            IoResult::ok(None, now)
+            IoResult::ok(req.data, now)
         } else {
-            IoResult::error(last_err.unwrap_or(IoStatus::DeviceGone), now)
+            IoResult::error(last_err.unwrap_or(IoStatus::DeviceGone), req.data, now)
         });
     }
 
@@ -701,20 +747,18 @@ impl Volume {
                 .unwrap();
             let mut handles = Vec::new();
             for p in pieces {
-                handles.push(self.submit_child(
+                handles.push(self.read_child(
                     spindle_of(row, p.d),
                     row * stripe as u64 + p.intra,
                     p.nsect,
-                    None,
                     &req,
                     svc,
                 ));
             }
-            handles.push(self.submit_child(
+            handles.push(self.read_child(
                 raid5_parity_spindle(row, n) as usize,
                 row * stripe as u64 + lo,
                 (hi - lo) as u32,
-                None,
                 &req,
                 svc,
             ));
@@ -735,32 +779,36 @@ impl Volume {
                 self.inner.sim.tracer().end(sp);
                 match res.status {
                     IoStatus::Ok => old.push(res.data.expect("read returns data")),
-                    st => {
-                        if st == IoStatus::DeviceGone {
-                            // The span args identify the spindle; state is
-                            // refreshed by the recovery path's own reads.
-                        }
+                    // A dead spindle's state is refreshed by the recovery
+                    // path's own reads.
+                    _ => {
+                        self.inner.bufs.release(res.data);
                         phase1_failed = true;
                     }
                 }
             }
             if phase1_failed {
+                old.into_iter().for_each(|b| self.inner.bufs.give(b));
                 break;
             }
-            let old_parity = old.pop().expect("parity read present");
-            let mut delta = old_parity;
-            // delta starts as the old parity; XOR in old^new under each
-            // piece, leaving uncovered bytes unchanged.
-            for (p, old_data) in pieces.iter().zip(&old) {
+            // The buffer the old parity was read into becomes the parity
+            // write's: XOR in old^new under each piece, leaving uncovered
+            // bytes unchanged.
+            let mut delta = old.pop().expect("parity read present");
+            for (p, old_data) in pieces.iter().zip(old) {
                 let base = (p.intra - rr.lo) as usize * ssz;
                 let new_data = &payload[p.buf_off..p.buf_off + p.nsect as usize * ssz];
                 for i in 0..new_data.len() {
                     delta[base + i] ^= old_data[i] ^ new_data[i];
                 }
+                self.inner.bufs.give(old_data);
             }
             parity_writes.insert(row, (row * stripe as u64 + rr.lo, delta));
         }
         if phase1_failed {
+            for (_, (_, parity)) in parity_writes {
+                self.inner.bufs.give(parity);
+            }
             drop(row_guards); // The degraded path re-acquires them itself.
             self.raid5_write_degraded(req, completion, svc).await;
             return;
@@ -771,64 +819,40 @@ impl Volume {
             if reads.contains_key(&row) {
                 continue;
             }
-            let mut parity = vec![0u8; stripe_bytes];
+            let mut parity = self.inner.bufs.take_zeroed(stripe_bytes);
             for p in pieces {
-                let new_data = &payload[p.buf_off..p.buf_off + stripe_bytes];
-                for i in 0..stripe_bytes {
-                    parity[i] ^= new_data[i];
-                }
+                xor_into(&mut parity, &payload[p.buf_off..p.buf_off + stripe_bytes]);
             }
             parity_writes.insert(row, (row * stripe as u64, parity));
         }
 
-        // Phase 2: write new data and new parity for every row. Parity
-        // bytes are retained for in-place retry of transient write errors
-        // (a retried RMW cannot recompute them: the data chunks may
-        // already hold new contents).
-        enum WSrc {
-            Payload { buf_off: usize, len: usize },
-            Parity(u64),
-        }
-        let parity_keep: BTreeMap<u64, (u64, Vec<u8>)> = parity_writes;
-        let mut pending: Vec<(IoHandle, SpanId, usize, u64, u32, WSrc)> = Vec::new();
+        // Phase 2: write new data and new parity for every row. Each write
+        // owns its bytes, so a transient error is retried in place from
+        // the buffer the failed completion returns (a retried RMW could
+        // not recompute the parity: the data chunks may already hold new
+        // contents).
+        let mut pending: Vec<(IoHandle, SpanId, usize, u64, u32)> = Vec::new();
         for (&row, pieces) in &rows {
             for p in pieces {
                 let len = p.nsect as usize * ssz;
                 let sp_idx = spindle_of(row, p.d);
                 let lba = row * stripe as u64 + p.intra;
-                let (h, sp) = self.submit_child(
-                    sp_idx,
-                    lba,
-                    p.nsect,
-                    Some(payload[p.buf_off..p.buf_off + len].to_vec()),
-                    &req,
-                    svc,
-                );
-                pending.push((
-                    h,
-                    sp,
-                    sp_idx,
-                    lba,
-                    p.nsect,
-                    WSrc::Payload {
-                        buf_off: p.buf_off,
-                        len,
-                    },
-                ));
+                let mut bytes = self.take_sectors(p.nsect);
+                bytes.copy_from_slice(&payload[p.buf_off..p.buf_off + len]);
+                let (h, sp) =
+                    self.submit_child(sp_idx, DiskOp::Write, lba, p.nsect, bytes, &req, svc);
+                pending.push((h, sp, sp_idx, lba, p.nsect));
             }
-            let (lba, bytes) = &parity_keep[&row];
+            let (lba, bytes) = parity_writes.remove(&row).expect("parity computed per row");
             let nsect = (bytes.len() / ssz) as u32;
             let sp_idx = raid5_parity_spindle(row, n) as usize;
-            let (h, sp) = self.submit_child(sp_idx, *lba, nsect, Some(bytes.clone()), &req, svc);
-            pending.push((h, sp, sp_idx, *lba, nsect, WSrc::Parity(row)));
+            let (h, sp) = self.submit_child(sp_idx, DiskOp::Write, lba, nsect, bytes, &req, svc);
+            pending.push((h, sp, sp_idx, lba, nsect));
         }
         let mut failed = None;
-        for (h, sp, sp_idx, lba, nsect, src) in pending {
+        for (h, sp, sp_idx, lba, nsect) in pending {
             let st = self
-                .await_child_write(h, sp, sp_idx, lba, nsect, &req, svc, || match &src {
-                    WSrc::Payload { buf_off, len } => payload[*buf_off..*buf_off + *len].to_vec(),
-                    WSrc::Parity(row) => parity_keep[row].1.clone(),
-                })
+                .await_child_write(h, sp, sp_idx, lba, nsect, &req, svc)
                 .await;
             match st {
                 IoStatus::Ok => {}
@@ -851,8 +875,8 @@ impl Volume {
         self.inner.sim.tracer().end(svc);
         let now = self.inner.sim.now();
         completion.complete(match failed {
-            Some(st) => IoResult::error(st, now),
-            None => IoResult::ok(None, now),
+            Some(st) => IoResult::error(st, req.data, now),
+            None => IoResult::ok(req.data, now),
         });
     }
 
@@ -911,7 +935,7 @@ impl Volume {
             let pending: Vec<(usize, IoHandle, SpanId)> = (0..n as usize)
                 .filter(|&j| self.healthy(j))
                 .map(|j| {
-                    let (h, sp) = self.submit_child(j, row_lba, stripe, None, &req, svc);
+                    let (h, sp) = self.read_child(j, row_lba, stripe, &req, svc);
                     (j, h, sp)
                 })
                 .collect();
@@ -925,6 +949,7 @@ impl Volume {
                         if st == IoStatus::DeviceGone {
                             self.mark_dead(j);
                         }
+                        self.inner.bufs.release(res.data);
                     }
                 }
             }
@@ -934,16 +959,15 @@ impl Volume {
                 1 => {
                     // XOR of the survivors reconstructs the one absentee
                     // (data or parity: the equation is the same).
-                    let mut acc = vec![0u8; stripe_bytes];
+                    let mut acc = self.inner.bufs.take_zeroed(stripe_bytes);
                     for c in chunks.iter().flatten() {
-                        for (a, b) in acc.iter_mut().zip(c) {
-                            *a ^= b;
-                        }
+                        xor_into(&mut acc, c);
                     }
                     chunks[missing[0]] = Some(acc);
                 }
                 _ => {
                     failed = Some(IoStatus::DeviceGone);
+                    chunks.into_iter().for_each(|c| self.inner.bufs.release(c));
                     continue;
                 }
             }
@@ -955,34 +979,32 @@ impl Volume {
                 let len = p.nsect as usize * ssz;
                 chunk[base..base + len].copy_from_slice(&payload[p.buf_off..p.buf_off + len]);
             }
-            // Fresh parity from the data chunks.
+            // Fresh parity from the data chunks, in the old parity's buffer.
             let pj = raid5_parity_spindle(row, n) as usize;
-            let mut parity = vec![0u8; stripe_bytes];
-            for (j, chunk) in chunks.iter().enumerate() {
-                if j == pj {
-                    continue;
-                }
-                let chunk = chunk.as_ref().expect("row fully materialized");
-                for (a, b) in parity.iter_mut().zip(chunk) {
-                    *a ^= b;
-                }
+            let mut parity = chunks[pj].take().expect("row fully materialized");
+            parity.fill(0);
+            for chunk in chunks.iter().flatten() {
+                xor_into(&mut parity, chunk);
             }
             chunks[pj] = Some(parity);
             // Write every chunk that still has a live home (rebuilding
             // replacements included — that is how new rows reach them).
-            let writes: Vec<(usize, IoHandle, SpanId)> = (0..n as usize)
-                .filter(|&j| self.inner.states[j].get() != SpindleState::Dead)
-                .map(|j| {
-                    let bytes = chunks[j].as_ref().expect("row fully materialized").clone();
-                    let (h, sp) = self.submit_child(j, row_lba, stripe, Some(bytes), &req, svc);
-                    (j, h, sp)
-                })
-                .collect();
+            // Each write takes its chunk along; a dead spindle's goes
+            // straight back to the free list.
+            let mut writes: Vec<(usize, IoHandle, SpanId)> = Vec::new();
+            for (j, chunk) in chunks.into_iter().enumerate() {
+                if self.inner.states[j].get() == SpindleState::Dead {
+                    self.inner.bufs.release(chunk);
+                    continue;
+                }
+                let bytes = chunk.expect("row fully materialized");
+                let (h, sp) =
+                    self.submit_child(j, DiskOp::Write, row_lba, stripe, bytes, &req, svc);
+                writes.push((j, h, sp));
+            }
             for (j, h, sp) in writes {
                 let st = self
-                    .await_child_write(h, sp, j, row_lba, stripe, &req, svc, || {
-                        chunks[j].as_ref().expect("row fully materialized").clone()
-                    })
+                    .await_child_write(h, sp, j, row_lba, stripe, &req, svc)
                     .await;
                 match st {
                     IoStatus::Ok | IoStatus::DeviceGone => {}
@@ -999,8 +1021,8 @@ impl Volume {
         self.inner.sim.tracer().end(svc);
         let now = self.inner.sim.now();
         completion.complete(match failed {
-            Some(st) => IoResult::error(st, now),
-            None => IoResult::ok(None, now),
+            Some(st) => IoResult::error(st, req.data, now),
+            None => IoResult::ok(req.data, now),
         });
     }
 
@@ -1209,10 +1231,11 @@ impl Volume {
 
     /// Completes a malformed request with an error instead of panicking
     /// (same contract as the drive: the debug build trips an assertion).
-    fn reject(&self, why: &'static str) -> IoHandle {
+    fn reject(&self, why: &'static str, req: DiskRequest) -> IoHandle {
         debug_assert!(false, "{why}");
         let (handle, completion) = handle_pair();
-        completion.complete(IoResult::error(IoStatus::MediaError, self.inner.sim.now()));
+        let now = self.inner.sim.now();
+        completion.complete(IoResult::error(IoStatus::MediaError, req.data, now));
         handle
     }
 }
@@ -1263,17 +1286,17 @@ impl Drop for RowGuard {
 impl BlockDevice for Volume {
     fn submit(&self, req: DiskRequest) -> IoHandle {
         if req.nsect == 0 {
-            return self.reject("zero-length volume request");
+            return self.reject("zero-length volume request", req);
         }
         if req.lba + req.nsect as u64 > self.inner.total_sectors {
-            return self.reject("request beyond end of volume");
+            return self.reject("request beyond end of volume", req);
         }
         if let Some(data) = &req.data {
             if data.len() != req.nsect as usize * self.inner.sector_size as usize {
-                return self.reject("write payload length mismatch");
+                return self.reject("buffer length mismatch", req);
             }
         } else if req.op == DiskOp::Write {
-            return self.reject("write without payload");
+            return self.reject("write without payload", req);
         }
         let (handle, completion) = handle_pair();
         let vol = self.clone();

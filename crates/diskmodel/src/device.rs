@@ -175,6 +175,15 @@ pub trait BlockDeviceExt: BlockDevice {
     /// [`BlockDeviceExt::try_read`].
     async fn try_write(&self, lba: u64, nsect: u32, data: Vec<u8>) -> Result<(), IoStatus>;
 
+    /// [`BlockDeviceExt::try_write`], handing the buffer back — for loops
+    /// that write block after block from one allocation.
+    async fn try_write_from(
+        &self,
+        lba: u64,
+        nsect: u32,
+        data: Vec<u8>,
+    ) -> Result<Vec<u8>, IoStatus>;
+
     /// Read and wait.
     ///
     /// # Panics
@@ -233,12 +242,21 @@ impl<T: BlockDevice + ?Sized> BlockDeviceExt for T {
         read_retrying(self, lba, nsect, Some(buf)).await
     }
 
-    async fn try_write(&self, lba: u64, nsect: u32, mut data: Vec<u8>) -> Result<(), IoStatus> {
+    async fn try_write(&self, lba: u64, nsect: u32, data: Vec<u8>) -> Result<(), IoStatus> {
+        self.try_write_from(lba, nsect, data).await.map(drop)
+    }
+
+    async fn try_write_from(
+        &self,
+        lba: u64,
+        nsect: u32,
+        mut data: Vec<u8>,
+    ) -> Result<Vec<u8>, IoStatus> {
         let mut attempt = 0;
         loop {
             let res = self.submit_write(lba, nsect, data).wait().await;
             match res.status {
-                IoStatus::Ok => return Ok(()),
+                IoStatus::Ok => return Ok(res.data.expect("a completion returns its buffer")),
                 IoStatus::MediaError if attempt < EXT_RETRIES => {
                     attempt += 1;
                     data = res.data.expect("a completion returns its buffer");

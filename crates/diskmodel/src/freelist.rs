@@ -3,31 +3,21 @@
 //! A request's buffer travels with it (see [`BlockDevice`]) and comes back
 //! with its completion, so a layer that issues transfers in a steady state
 //! needs no allocation per transfer: it lends a buffer from its free list
-//! at submit and takes it back at completion. The list has no size knob:
-//! it never holds more buffers than the lender had in flight at once —
-//! which the write limit and the prefetch window bound — nor more than
-//! [`IDLE_BYTES_MAX`].
+//! at submit and takes it back at completion. The list has no size knob
+//! and frees nothing: it holds what the lender had in flight at its peak —
+//! which the write limit and the prefetch window bound, and a mount with
+//! neither (the paper's config D) by the page cache — so a second burst
+//! allocates no more than the first, and it is freed with the lender, when
+//! its world is dropped.
 //!
 //! [`BlockDevice`]: crate::BlockDevice
 
 use std::cell::{Cell, RefCell};
 
-/// The most a list keeps idle: eight of the paper's 120 KB clusters, a
-/// whole adaptive read-ahead window or several RAID rows. Only a burst
-/// goes over it — a mount with no write limit (the paper's config D) can
-/// have a cache-full of 8 KB writes in flight — and what a burst leaves
-/// behind is freed, not kept for a burst that may never recur: a list
-/// lives as long as its world, and a runner may keep hundreds of those.
-/// (Unbounded lists cost the four benchmark workloads 6–10% of peak RSS;
-/// 1 MB costs 1–2%, and 256 KB makes a RAID-5 array allocate half again
-/// as much.)
-const IDLE_BYTES_MAX: usize = 1 << 20;
-
 /// Idle transfer buffers of one lender (`vfs::iopath`, a `volmgr` volume).
 #[derive(Default)]
 pub struct FreeList {
     idle: RefCell<Vec<Vec<u8>>>,
-    idle_bytes: Cell<usize>,
     lent: Cell<usize>,
 }
 
@@ -43,7 +33,6 @@ impl FreeList {
     /// a read is overwritten whole by the device, a writer fills it.
     pub fn take(&self, len: usize) -> Vec<u8> {
         let mut buf = self.idle.borrow_mut().pop().unwrap_or_default();
-        self.idle_bytes.set(self.idle_bytes.get() - buf.capacity());
         buf.resize(len, 0);
         self.lent.set(self.lent.get() + 1);
         buf
@@ -56,17 +45,12 @@ impl FreeList {
         buf
     }
 
-    /// Takes back a buffer lent by [`FreeList::take`]; it is freed instead
-    /// of kept if the list already holds its 1 MB (`IDLE_BYTES_MAX`).
+    /// Takes back a buffer lent by [`FreeList::take`].
     pub fn give(&self, buf: Vec<u8>) {
         let lent = self.lent.get().checked_sub(1);
         self.lent
             .set(lent.expect("more buffers returned than lent"));
-        let idle_bytes = self.idle_bytes.get() + buf.capacity();
-        if idle_bytes <= IDLE_BYTES_MAX {
-            self.idle_bytes.set(idle_bytes);
-            self.idle.borrow_mut().push(buf);
-        }
+        self.idle.borrow_mut().push(buf);
     }
 
     /// Takes back whatever buffer a completion returned
@@ -109,17 +93,21 @@ mod tests {
     }
 
     #[test]
-    fn a_burst_leaves_a_bounded_list_behind() {
+    fn a_burst_leaves_its_buffers_for_the_next_one() {
         let list = FreeList::new();
         let burst: Vec<Vec<u8>> = (0..1000).map(|_| list.take(8192)).collect();
         assert_eq!(list.lent(), 1000);
+        let mut ptrs: Vec<*const u8> = burst.iter().map(|b| b.as_ptr()).collect();
         burst.into_iter().for_each(|b| list.give(b));
-        assert_eq!(list.lent(), 0);
-        assert_eq!(list.idle(), IDLE_BYTES_MAX / 8192);
-        // Draining the list and refilling it keeps the byte count honest.
-        let again: Vec<Vec<u8>> = (0..list.idle()).map(|_| list.take(512)).collect();
+        assert_eq!((list.lent(), list.idle()), (0, 1000));
+        // The next burst is served from the list: the same allocations.
+        let again: Vec<Vec<u8>> = (0..1000).map(|_| list.take(8192)).collect();
         assert_eq!(list.idle(), 0);
+        let mut ptrs_again: Vec<*const u8> = again.iter().map(|b| b.as_ptr()).collect();
+        ptrs.sort();
+        ptrs_again.sort();
+        assert_eq!(ptrs, ptrs_again);
         again.into_iter().for_each(|b| list.give(b));
-        assert_eq!(list.idle(), IDLE_BYTES_MAX / 8192);
+        assert_eq!(list.idle(), 1000);
     }
 }

@@ -81,6 +81,8 @@ const NIL: usize = usize::MAX;
 struct Page {
     key: Option<PageKey>,
     generation: u64,
+    /// The frame: empty until the page is first given an identity, so a
+    /// cache costs memory for the pages a run touches, not for its size.
     data: Vec<u8>,
     busy: bool,
     dirty: bool,
@@ -266,7 +268,7 @@ impl PageCache {
             .map(|_| Page {
                 key: None,
                 generation: 0,
-                data: vec![0u8; params.page_size],
+                data: Vec::new(),
                 busy: false,
                 dirty: false,
                 referenced: false,
@@ -503,7 +505,11 @@ impl PageCache {
             page.busy = true;
             page.dirty = false;
             page.referenced = true;
-            page.data.fill(0);
+            if page.data.is_empty() {
+                page.data = vec![0u8; self.inner.params.page_size];
+            } else {
+                page.data.fill(0);
+            }
             self.inner.hash.borrow_mut().insert(key, idx);
             self.inner.stats.borrow_mut().creates += 1;
             self.inner.metrics.creates.inc();

@@ -20,6 +20,16 @@
 //! assert_eq!(answer, 42);
 //! assert_eq!(sim.now().as_nanos(), 10_000_000);
 //! ```
+//!
+//! # Who owns a world
+//!
+//! The handle [`Sim::new`] returns *owns* the tasks and the timers; clones
+//! of it are handles that do not. Tasks hold clones (and so do devices,
+//! caches and mounts, which tasks hold in turn), so the tasks cannot be
+//! left to reference counting: dropping the owner drops every pending
+//! future and every armed timer, and with them whatever they kept alive.
+//! A clone that outlives the owner can still read the clock and the
+//! metrics; driving the executor through it panics.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -130,6 +140,8 @@ struct Inner {
     wake_scratch: RefCell<Vec<TaskId>>,
     polls: Cell<u64>,
     spawned: Cell<u64>,
+    /// Set when the owning [`Sim`] is dropped.
+    dead: Cell<bool>,
 }
 
 /// Wrapper so `Waker` can live inside the ordered timer heap without
@@ -154,14 +166,45 @@ impl Ord for WakerSlot {
 }
 
 /// Handle to a simulation. Cheap to clone; all clones share the same world.
-#[derive(Clone)]
+///
+/// The handle [`Sim::new`] returns owns the world's tasks and timers and
+/// drops them when it is dropped; keep it for as long as the world is
+/// driven. Clones do not own: they keep the clock and the metrics
+/// readable, never a task alive.
 pub struct Sim {
     inner: Rc<Inner>,
+    owner: bool,
+}
+
+impl Clone for Sim {
+    fn clone(&self) -> Self {
+        Sim {
+            inner: Rc::clone(&self.inner),
+            owner: false,
+        }
+    }
 }
 
 impl Default for Sim {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Drop for Sim {
+    fn drop(&mut self) {
+        if !self.owner {
+            return;
+        }
+        // Dead first: a task spawned or a timer armed by a future's
+        // destructor would land in the emptied collections, which nothing
+        // drops again.
+        self.inner.dead.set(true);
+        // Taken out, then dropped: a destructor that comes back to the
+        // executor must meet `assert_alive`, not a `BorrowMutError`.
+        drop(self.inner.tasks.take());
+        drop(self.inner.timers.take());
+        self.inner.live.set(0);
     }
 }
 
@@ -193,8 +236,19 @@ impl Sim {
                 wake_scratch: RefCell::new(Vec::new()),
                 polls: Cell::new(0),
                 spawned: Cell::new(0),
+                dead: Cell::new(false),
             }),
+            owner: true,
         }
+    }
+
+    /// The executor cannot be driven once its owner is gone: its tasks
+    /// were dropped, and a new one would never be.
+    fn assert_alive(&self) {
+        assert!(
+            !self.inner.dead.get(),
+            "the `Sim` that owned this world was dropped"
+        );
     }
 
     /// Returns the current virtual time.
@@ -238,6 +292,11 @@ impl Sim {
     ///
     /// The task does not run until the executor is next driven by [`Sim::run`]
     /// or [`Sim::run_until`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, like [`Sim::run`], [`Sim::run_until`] and an unexpired
+    /// [`Sim::sleep`], if the [`Sim`] that owned this world was dropped.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
         let state = Rc::new(RefCell::new(JoinState {
             result: None,
@@ -258,6 +317,7 @@ impl Sim {
     }
 
     fn spawn_unit(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
+        self.assert_alive();
         let id = TaskId(self.inner.next_task.get());
         self.inner.next_task.set(id.0 + 1);
         self.inner.spawned.set(self.inner.spawned.get() + 1);
@@ -294,6 +354,7 @@ impl Sim {
     /// Core loop; stops early when `stop()` returns true (checked between
     /// task polls and before advancing the clock).
     fn run_with_stop(&self, stop: impl Fn() -> bool) {
+        self.assert_alive();
         loop {
             self.drain_wakes();
             loop {
@@ -432,6 +493,7 @@ impl Sim {
     /// re-poll this task with nothing else observing the interval. Skipping
     /// the suspend/resume halves the cost of the `Cpu::charge` hot path.
     pub(crate) fn try_fast_forward(&self, at: SimTime) -> bool {
+        self.assert_alive();
         if !self.inner.run_queue.borrow().is_empty() {
             return false;
         }
@@ -457,6 +519,7 @@ impl Sim {
     }
 
     pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) {
+        self.assert_alive();
         let seq = self.inner.next_timer_seq.get();
         self.inner.next_timer_seq.set(seq + 1);
         self.inner
@@ -740,5 +803,146 @@ mod tests {
         let s = sim.clone();
         sim.run_until(async move { s.sleep(SimDuration::from_millis(1)).await });
         assert!(sim.polls() >= 3, "suspended sleeps re-poll on wake");
+    }
+
+    /// A world with one task parked on an event, one asleep and the
+    /// telemetry sampler running, each holding a clone of `probe`.
+    fn parked_world(probe: &Rc<()>) -> Sim {
+        let sim = Sim::new();
+        let (s, p) = (sim.clone(), Rc::clone(probe));
+        sim.spawn(async move {
+            s.sleep(SimDuration::from_secs(3600)).await;
+            drop(p);
+        });
+        let p = Rc::clone(probe);
+        sim.spawn(async move {
+            crate::sync::Event::new().wait().await;
+            drop(p);
+        });
+        sim.telemetry()
+            .start(&sim, SimDuration::from_millis(1), u64::MAX);
+        let s = sim.clone();
+        sim.run_until(async move { s.sleep(SimDuration::from_millis(10)).await });
+        assert_eq!(sim.live_tasks(), 3);
+        assert_eq!(Rc::strong_count(probe), 3);
+        sim
+    }
+
+    #[test]
+    fn dropping_the_owner_drops_every_task_and_timer() {
+        let probe = Rc::new(());
+        let sim = parked_world(&probe);
+        let clone = sim.clone();
+        // The sleeper, the sampler and its pending sleep hold clones.
+        assert!(Rc::strong_count(&clone.inner) > 2);
+        assert!(!clone.inner.timers.borrow().is_empty());
+        drop(sim);
+        assert_eq!(Rc::strong_count(&probe), 1);
+        assert_eq!(Rc::strong_count(&clone.inner), 1);
+        assert!(clone.inner.timers.borrow().is_empty());
+        assert_eq!(clone.live_tasks(), 0);
+        // What a clone may still do: read the clock and the metrics.
+        assert_eq!(clone.now().as_nanos(), 10_000_000);
+        assert!(clone.telemetry().samples() > 0);
+    }
+
+    #[test]
+    fn dropping_a_clone_changes_nothing() {
+        let probe = Rc::new(());
+        let sim = parked_world(&probe);
+        drop(sim.clone());
+        assert_eq!(sim.live_tasks(), 3);
+        assert_eq!(Rc::strong_count(&probe), 3);
+        let s = sim.clone();
+        let h = sim.spawn(async move { s.now() });
+        drop(sim.clone());
+        sim.run_until(async {});
+        assert!(h.is_finished());
+    }
+
+    #[test]
+    fn default_is_an_owner() {
+        let probe = Rc::new(());
+        let sim = Sim::default();
+        let p = Rc::clone(&probe);
+        sim.spawn(async move {
+            crate::sync::Event::new().wait().await;
+            drop(p);
+        });
+        sim.run();
+        assert_eq!(Rc::strong_count(&probe), 2);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&probe), 1);
+    }
+
+    #[test]
+    fn teardown_tolerates_futures_that_wake_and_hang_up_as_they_drop() {
+        /// Signals an event (waking its waiter) when dropped.
+        struct SignalOnDrop(crate::sync::Event);
+        impl Drop for SignalOnDrop {
+            fn drop(&mut self) {
+                self.0.signal();
+            }
+        }
+        let sim = Sim::new();
+        let ev = crate::sync::Event::new();
+        let (tx, mut rx) = crate::channel::channel::<u32>();
+        // Dropped first: wakes the second task, hangs up on the third and
+        // lets go of a clone of the executor, all inside the teardown.
+        let (s, guard) = (sim.clone(), SignalOnDrop(ev.clone()));
+        sim.spawn(async move {
+            let _held = (guard, tx, s.clone());
+            s.sleep(SimDuration::from_secs(1)).await;
+        });
+        sim.spawn(async move { ev.wait().await });
+        let received = Rc::new(Cell::new(false));
+        let r = Rc::clone(&received);
+        sim.spawn(async move { r.set(rx.recv().await.is_some()) });
+        let s = sim.clone();
+        sim.run_until(async move { s.yield_now().await });
+        assert_eq!(sim.live_tasks(), 3);
+        let clone = sim.clone();
+        drop(sim);
+        assert_eq!(Rc::strong_count(&clone.inner), 1);
+        assert!(!received.get(), "a task woken by the teardown never runs");
+    }
+
+    #[test]
+    #[should_panic(expected = "the `Sim` that owned this world was dropped")]
+    fn spawn_through_a_clone_that_outlived_the_owner_panics() {
+        let sim = Sim::new();
+        let clone = sim.clone();
+        drop(sim);
+        clone.spawn(async {});
+    }
+
+    #[test]
+    #[should_panic(expected = "the `Sim` that owned this world was dropped")]
+    fn run_until_through_a_clone_that_outlived_the_owner_panics() {
+        let clone = Sim::new().clone();
+        clone.run_until(async {});
+    }
+
+    #[test]
+    fn sleep_through_a_clone_that_outlived_the_owner_panics() {
+        let clone = Sim::new().clone();
+        // Polled by a living executor, so the panic is the sleep's own.
+        let other = Sim::new();
+        let dead = clone.clone();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            other.run_until(async move { dead.sleep(SimDuration::from_millis(1)).await })
+        }))
+        .expect_err("a sleep on a dead world must not resolve");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"the `Sim` that owned this world was dropped")
+        );
+        assert_eq!(
+            clone.now(),
+            SimTime::ZERO,
+            "nor move the dead world's clock"
+        );
+        // An expired deadline needs no executor and still resolves.
+        other.run_until(async move { clone.sleep(SimDuration::ZERO).await });
     }
 }

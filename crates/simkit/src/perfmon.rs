@@ -306,6 +306,7 @@ static ALLOC_COUNTING: AtomicBool = AtomicBool::new(false);
 thread_local! {
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// `(allocations, bytes)` performed by this thread since it started, as
@@ -315,6 +316,16 @@ pub fn thread_alloc_counts() -> (u64, u64) {
     let count = ALLOC_COUNT.try_with(Cell::get).unwrap_or(0);
     let bytes = ALLOC_BYTES.try_with(Cell::get).unwrap_or(0);
     (count, bytes)
+}
+
+/// Bytes this thread allocated and has not freed, as counted by
+/// [`CountingAlloc`] since the profiler was enabled — a level to compare
+/// with an earlier reading of itself (memory allocated before counting
+/// began and freed after it reads as negative).
+pub fn thread_live_bytes() -> i64 {
+    let allocated = ALLOC_BYTES.try_with(Cell::get).unwrap_or(0);
+    let freed = FREED_BYTES.try_with(Cell::get).unwrap_or(0);
+    allocated as i64 - freed as i64
 }
 
 /// A [`std::alloc::System`] wrapper that counts per-thread allocation
@@ -344,6 +355,9 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        if ALLOC_COUNTING.load(Ordering::Relaxed) {
+            let _ = FREED_BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
+        }
         unsafe { std::alloc::System.dealloc(ptr, layout) }
     }
 
@@ -352,6 +366,8 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
             let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
             let grown = new_size.saturating_sub(layout.size()) as u64;
             let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + grown));
+            let shrunk = layout.size().saturating_sub(new_size) as u64;
+            let _ = FREED_BYTES.try_with(|c| c.set(c.get() + shrunk));
         }
         unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
     }

@@ -82,6 +82,9 @@ pub async fn mkfs(sim: &Sim, disk: &dyn BlockDevice, opts: MkfsOptions) -> FsRes
 
     let mut total_free_blocks = 0u64;
     let mut total_free_inodes = 0u64;
+    // Every zero block is written from this one buffer: a completion hands
+    // its buffer back, and the device only reads it.
+    let mut zero = vec![0u8; BLOCK_SIZE];
     for cgx in 0..ncg {
         let mut cg = CgHeader::empty(&sb, cgx);
         if cgx == 0 {
@@ -96,9 +99,8 @@ pub async fn mkfs(sim: &Sim, disk: &dyn BlockDevice, opts: MkfsOptions) -> FsRes
         total_free_inodes += cg.free_inodes as u64;
         write_block(disk, sb.cg_start(cgx), cg.encode()).await;
         // Zero the inode table.
-        let zero = vec![0u8; BLOCK_SIZE];
         for b in 0..sb.inode_blocks_per_cg() {
-            write_block(disk, sb.cg_start(cgx) + 1 + b as u64, zero.clone()).await;
+            zero = write_block(disk, sb.cg_start(cgx) + 1 + b as u64, zero).await;
         }
     }
 
@@ -113,7 +115,7 @@ pub async fn mkfs(sim: &Sim, disk: &dyn BlockDevice, opts: MkfsOptions) -> FsRes
     let mut itable = vec![0u8; BLOCK_SIZE];
     itable[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE].copy_from_slice(&root.encode());
     write_block(disk, ipbn, itable).await;
-    write_block(disk, root_block, vec![0u8; BLOCK_SIZE]).await;
+    write_block(disk, root_block, zero).await;
 
     sb.free_blocks = total_free_blocks;
     sb.free_inodes = total_free_inodes;
@@ -123,7 +125,10 @@ pub async fn mkfs(sim: &Sim, disk: &dyn BlockDevice, opts: MkfsOptions) -> FsRes
     Ok(sb)
 }
 
-async fn write_block(disk: &dyn BlockDevice, pbn: u64, data: Vec<u8>) {
-    disk.write(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK, data)
-        .await;
+/// Writes block `pbn` and returns the buffer its completion handed back;
+/// panics on an unrecoverable device error, like [`BlockDeviceExt::write`].
+async fn write_block(disk: &dyn BlockDevice, pbn: u64, data: Vec<u8>) -> Vec<u8> {
+    disk.try_write_from(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK, data)
+        .await
+        .expect("unrecoverable device error on write")
 }

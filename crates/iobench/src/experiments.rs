@@ -5,10 +5,11 @@
 use clufs::Tuning;
 use diskmodel::{Disk, DiskParams};
 use pagecache::{PageCacheParams, PageoutParams};
-use simkit::Sim;
+use simkit::{json, Sim};
 use vfs::{FileSystem, World};
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::aging::{
@@ -194,52 +195,50 @@ impl StatsSink {
     /// function of the virtual-time runs — byte-identical across
     /// identical invocations and any `--jobs` value.
     pub fn timeline_json(&self, experiment: &str) -> String {
-        use std::fmt::Write as _;
         let every = self.sample_every.map(|d| d.as_nanos()).unwrap_or(0);
-        let mut runs = String::new();
-        for (i, (id, series)) in self.timelines.borrow().iter().enumerate() {
-            if i > 0 {
-                runs.push(',');
-            }
-            let _ = write!(runs, "{{\"id\":\"{id}\",\"series\":[");
-            for (j, (name, points)) in series.iter().enumerate() {
-                if j > 0 {
-                    runs.push(',');
+        let mut out = document_head(TIMELINE_SCHEMA, experiment);
+        let _ = write!(out, ",\"sample_every_ns\":{every},\"runs\":[");
+        for (id, series) in self.timelines.borrow().iter() {
+            json::open_object(&mut out, "id", id);
+            out.push_str(",\"series\":[");
+            for (name, points) in series {
+                json::open_object(&mut out, "name", name);
+                out.push_str(",\"points\":[");
+                for (t, v) in points {
+                    json::sep(&mut out);
+                    let _ = write!(out, "[{t},");
+                    json::f64(&mut out, *v);
+                    out.push(']');
                 }
-                let _ = write!(runs, "{{\"name\":\"{name}\",\"points\":[");
-                for (k, (t, v)) in points.iter().enumerate() {
-                    if k > 0 {
-                        runs.push(',');
-                    }
-                    if v.is_finite() {
-                        let _ = write!(runs, "[{t},{v}]");
-                    } else {
-                        let _ = write!(runs, "[{t},null]");
-                    }
-                }
-                runs.push_str("]}");
+                out.push_str("]}");
             }
-            runs.push_str("]}");
+            out.push_str("]}");
         }
-        format!(
-            "{{\"schema\":\"{TIMELINE_SCHEMA}\",\"experiment\":\"{experiment}\",\
-             \"sample_every_ns\":{every},\"runs\":[{runs}]}}"
-        )
+        out.push_str("]}");
+        out
     }
 
     /// Serializes the collection as the `--stats-json` document.
     pub fn to_json(&self, experiment: &str) -> String {
-        let runs = self
-            .runs
-            .borrow()
-            .iter()
-            .map(|(id, stats)| format!("{{\"id\":\"{id}\",\"stats\":{stats}}}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"schema\":\"{STATS_SCHEMA}\",\"experiment\":\"{experiment}\",\"runs\":[{runs}]}}"
-        )
+        let mut out = document_head(STATS_SCHEMA, experiment);
+        out.push_str(",\"runs\":[");
+        for (id, stats) in self.runs.borrow().iter() {
+            json::open_object(&mut out, "id", id);
+            let _ = write!(out, ",\"stats\":{stats}}}");
+        }
+        out.push_str("]}");
+        out
     }
+}
+
+/// Opens a document: `{"schema":…,"experiment":…` (left open).
+pub(crate) fn document_head(schema: &str, experiment: &str) -> String {
+    let mut out = String::from("{");
+    json::key(&mut out, "schema");
+    json::string(&mut out, schema);
+    json::key(&mut out, "experiment");
+    json::string(&mut out, experiment);
+    out
 }
 
 /// The [`Sim`] for one experiment run: `sink.sim()` when a sink is

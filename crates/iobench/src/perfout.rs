@@ -24,9 +24,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use simkit::json;
 use simkit::perfmon::{PhaseRecord, MAIN_THREAD};
 use simkit::SimDuration;
 
+use crate::experiments::document_head;
 use crate::PERF_SCHEMA;
 
 /// Top-level phases whose per-worker sum defines attribution coverage.
@@ -151,50 +153,39 @@ impl HostProfile {
     /// run-to-run variable; this document is diagnostic, not part of the
     /// byte-identity surface.
     pub fn to_json(&self, experiment: &str, jobs: usize) -> String {
-        let mut workers = String::new();
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                workers.push(',');
-            }
+        let mut out = document_head(PERF_SCHEMA, experiment);
+        let _ = write!(out, ",\"jobs\":{jobs},\"coverage\":");
+        json::f64(&mut out, self.coverage);
+        let _ = write!(out, ",\"dropped_records\":{},\"workers\":[", self.dropped);
+        for w in &self.workers {
+            json::sep(&mut out);
             let _ = write!(
-                workers,
+                out,
                 "{{\"worker\":{},\"lifetime_ns\":{},\"busy_ns\":{},\"pickup_ns\":{},\
-                 \"idle_ns\":{},\"utilization\":{}}}",
-                w.worker,
-                w.lifetime_ns,
-                w.busy_ns,
-                w.pickup_ns,
-                w.idle_ns,
-                json_f64(w.utilization)
+                 \"idle_ns\":{},\"utilization\":",
+                w.worker, w.lifetime_ns, w.busy_ns, w.pickup_ns, w.idle_ns,
             );
+            json::f64(&mut out, w.utilization);
+            out.push('}');
         }
-        let mut phases = String::new();
-        for (i, (name, a)) in self.sinks().into_iter().enumerate() {
-            if i > 0 {
-                phases.push(',');
-            }
+        out.push_str("],\"phases\":[");
+        for (name, a) in self.sinks() {
+            json::open_object(&mut out, "name", name);
             let mean = a.total_ns.checked_div(a.count).unwrap_or(0);
             let _ = write!(
-                phases,
-                "{{\"name\":\"{name}\",\"count\":{},\"total_ns\":{},\"mean_ns\":{mean},\
+                out,
+                ",\"count\":{},\"total_ns\":{},\"mean_ns\":{mean},\
                  \"allocs\":{},\"alloc_bytes\":{}}}",
                 a.count, a.total_ns, a.allocs, a.alloc_bytes
             );
         }
-        let mut runs = String::new();
-        for (i, (label, ns)) in self.runs.iter().enumerate() {
-            if i > 0 {
-                runs.push(',');
-            }
-            let _ = write!(runs, "{{\"id\":\"{label}\",\"drive_ns\":{ns}}}");
+        out.push_str("],\"runs\":[");
+        for (label, ns) in &self.runs {
+            json::open_object(&mut out, "id", label);
+            let _ = write!(out, ",\"drive_ns\":{ns}}}");
         }
-        format!(
-            "{{\"schema\":\"{PERF_SCHEMA}\",\"experiment\":\"{experiment}\",\"jobs\":{jobs},\
-             \"coverage\":{},\"dropped_records\":{},\"workers\":[{workers}],\
-             \"phases\":[{phases}],\"runs\":[{runs}]}}",
-            json_f64(self.coverage),
-            self.dropped
-        )
+        out.push_str("]}");
+        out
     }
 
     /// Renders the stderr summary: top sinks, per-worker utilization, and
@@ -295,14 +286,6 @@ pub fn parse_sample_every(s: &str) -> Result<SimDuration, String> {
         .checked_mul(mult)
         .ok_or_else(|| format!("invalid --sample-every {s:?}: number out of range"))?;
     Ok(SimDuration::from_nanos(ns))
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! microseconds with integer math (no floating point) to keep that true.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use simkit::{Span, SpanId};
+use simkit::{json, Span, SpanId};
 
 use crate::report::Table;
 
@@ -38,10 +39,6 @@ fn root_of(spans: &[Span], span: &Span) -> SpanId {
         parent = spans[idx(parent)].parent;
     }
     cur
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Serializes `(run id, spans)` captures as one Chrome trace-event JSON
@@ -73,7 +70,17 @@ pub fn chrome_trace_json_with_counters(
         .iter()
         .map(|(id, series)| (id.as_str(), series))
         .collect();
-    let mut events: Vec<String> = Vec::new();
+    // One event per line: each starts with the separator and a newline.
+    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    let process = |out: &mut String, pid: u64, name: &str| {
+        json::sep(out);
+        let _ = write!(
+            out,
+            "\n{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":"
+        );
+        json::string(out, name);
+        out.push_str("}}");
+    };
     let mut next_pid = 1u64;
     for (run_id, spans) in runs {
         // Deterministic pid per stream: ascending stream number.
@@ -84,60 +91,57 @@ pub fn chrome_trace_json_with_counters(
         for (stream, pid) in pids.iter_mut() {
             *pid = next_pid;
             next_pid += 1;
-            events.push(format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{} stream {stream}\"}}}}",
-                json_escape(run_id)
-            ));
+            process(&mut out, *pid, &format!("{run_id} stream {stream}"));
         }
         for s in spans {
             let Some(end) = s.end else { continue };
-            let pid = pids[&s.stream];
-            let tid = root_of(spans, s).as_u64();
-            let args = s
-                .args
-                .iter()
-                .map(|(k, v)| format!("\"{k}\":{v}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}",
-                s.name,
-                json_escape(run_id),
+            json::sep(&mut out);
+            out.push_str("\n{");
+            json::key(&mut out, "name");
+            json::string(&mut out, s.name);
+            json::key(&mut out, "cat");
+            json::string(&mut out, run_id);
+            let _ = write!(
+                out,
+                ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{",
                 us(s.start.as_nanos()),
                 us(end.duration_since(s.start).as_nanos()),
-            ));
+                pids[&s.stream],
+                root_of(spans, s).as_u64(),
+            );
+            for (k, v) in &s.args {
+                json::key(&mut out, k);
+                let _ = write!(out, "{v}");
+            }
+            out.push_str("}}");
         }
         if let Some(series) = by_id.get(run_id.as_str()) {
             let pid = next_pid;
             next_pid += 1;
-            events.push(format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{} telemetry\"}}}}",
-                json_escape(run_id)
-            ));
+            process(&mut out, pid, &format!("{run_id} telemetry"));
             for (name, points) in series.iter() {
                 for (t, v) in points {
-                    let value = if v.is_finite() {
-                        format!("{v}")
-                    } else {
-                        "null".to_string()
-                    };
-                    events.push(format!(
-                        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\"tid\":0,\
-                         \"args\":{{\"value\":{value}}}}}",
-                        json_escape(name),
+                    json::sep(&mut out);
+                    out.push_str("\n{");
+                    json::key(&mut out, "name");
+                    json::string(&mut out, name);
+                    let _ = write!(
+                        out,
+                        ",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\"tid\":0,\"args\":{{\"value\":",
                         us(*t),
-                    ));
+                    );
+                    json::f64(&mut out, *v);
+                    out.push_str("}}");
                 }
             }
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
-        events.join(",\n")
-    )
+    if out.ends_with('[') {
+        // No events: keep the empty document's blank line.
+        out.push('\n');
+    }
+    out.push_str("\n]}\n");
+    out
 }
 
 /// Where one stream's virtual time went, summed over a run's spans.

@@ -24,6 +24,7 @@
 //!   disabled), behind `iobench --trace`
 //! - [`stats`] — the per-`Sim` metrics registry (counters, gauges,
 //!   histograms, time-weighted means) with deterministic JSON snapshots
+//! - [`json`] — the one JSON writer every emitted document goes through
 //! - [`perfmon`] — the host-side observatory: wall-clock phase profiler
 //!   (process-global, off by default) and the per-`Sim` virtual-time
 //!   telemetry sampler ([`Telemetry`], `sim.telemetry()`)
@@ -37,6 +38,7 @@
 pub mod channel;
 pub mod cpu;
 pub mod executor;
+pub mod json;
 pub mod perfmon;
 pub mod rng;
 pub mod stats;

@@ -34,6 +34,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use crate::executor::TimeHandle;
+use crate::json;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Recorder;
 
@@ -601,112 +602,72 @@ impl StatsRegistry {
     /// included. Schema: see DESIGN.md "Observability".
     pub fn to_json(&self) -> String {
         let map = self.inner.metrics.borrow();
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut histograms = String::new();
-        let mut tw = String::new();
-        for (name, metric) in map.iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    push_entry(&mut counters, name, &c.get().to_string());
-                }
-                Metric::Gauge(g) => {
-                    push_entry(&mut gauges, name, &json_f64(g.get()));
-                }
-                Metric::Histogram(h) => {
-                    let inner = h.0.borrow();
-                    let mut v = String::from("{");
-                    let _ = write!(
-                        v,
-                        "\"edges\":{},\"counts\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{}",
-                        json_u64_array(&inner.edges),
-                        json_u64_array(&inner.counts),
-                        inner.count,
-                        inner.sum,
-                        if inner.count == 0 { 0 } else { inner.min },
-                        inner.max,
-                        json_f64(if inner.count == 0 {
-                            0.0
-                        } else {
-                            inner.sum as f64 / inner.count as f64
-                        }),
-                    );
-                    drop(inner);
-                    let _ = write!(
-                        v,
-                        ",\"p50\":{},\"p95\":{},\"p99\":{}",
-                        json_f64(h.p50()),
-                        json_f64(h.p95()),
-                        json_f64(h.p99()),
-                    );
-                    v.push('}');
-                    push_entry(&mut histograms, name, &v);
-                }
-                Metric::TimeWeighted(t) => {
-                    let mut v = String::from("{");
-                    let _ = write!(
-                        v,
-                        "\"last\":{},\"mean\":{},\"peak\":{}",
-                        json_f64(t.value()),
-                        json_f64(t.mean()),
-                        json_f64(t.peak()),
-                    );
-                    v.push('}');
-                    push_entry(&mut tw, name, &v);
-                }
+        let mut out = String::from("{");
+        for (section, kind) in [
+            ("counters", "counter"),
+            ("gauges", "gauge"),
+            ("histograms", "histogram"),
+            ("time_weighted", "time_weighted"),
+        ] {
+            json::key(&mut out, section);
+            out.push('{');
+            for (name, metric) in map.iter().filter(|(_, m)| m.kind() == kind) {
+                json::key(&mut out, name);
+                metric.write_json(&mut out);
+            }
+            out.push('}');
+        }
+        out.push('}');
+        out
+    }
+}
+
+impl Metric {
+    /// Appends this metric's value to a registry snapshot.
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Metric::Counter(c) => {
+                let _ = write!(out, "{}", c.get());
+            }
+            Metric::Gauge(g) => json::f64(out, g.get()),
+            Metric::Histogram(h) => {
+                let floats = [
+                    ("mean", h.mean()),
+                    ("p50", h.p50()),
+                    ("p95", h.p95()),
+                    ("p99", h.p99()),
+                ];
+                let inner = h.0.borrow();
+                out.push_str("{\"edges\":");
+                json::u64_array(out, &inner.edges);
+                out.push_str(",\"counts\":");
+                json::u64_array(out, &inner.counts);
+                let min = if inner.count == 0 { 0 } else { inner.min };
+                let _ = write!(
+                    out,
+                    ",\"count\":{},\"sum\":{},\"min\":{min},\"max\":{}",
+                    inner.count, inner.sum, inner.max,
+                );
+                f64_entries(out, &floats);
+            }
+            Metric::TimeWeighted(t) => {
+                out.push('{');
+                f64_entries(
+                    out,
+                    &[("last", t.value()), ("mean", t.mean()), ("peak", t.peak())],
+                );
             }
         }
-        format!(
-            "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\
-             \"histograms\":{{{histograms}}},\"time_weighted\":{{{tw}}}}}"
-        )
     }
 }
 
-fn push_entry(out: &mut String, name: &str, value: &str) {
-    if !out.is_empty() {
-        out.push(',');
+/// Appends `"name":value` float entries and closes the object.
+fn f64_entries(out: &mut String, entries: &[(&str, f64)]) {
+    for &(name, v) in entries {
+        json::key(out, name);
+        json::f64(out, v);
     }
-    let _ = write!(out, "{}:{}", json_string(name), value);
-}
-
-/// Escapes a metric name for use as a JSON string.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_u64_array(xs: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{x}");
-    }
-    out.push(']');
-    out
-}
-
-/// JSON has no NaN/Infinity; non-finite values serialize as null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+    out.push('}');
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //! - [`extentfs`] — the extent-based comparator
 //! - [`iobench`] — the paper's evaluation workloads
 //!
-//! Runnable entry points: the examples in `examples/`, the `iobench` CLI
-//! (`cargo run --release -p iobench -- all`), and the `figures` binary
-//! (`cargo run --release -p bench --bin figures`).
+//! Runnable entry points: the examples in `examples/` (the paper's
+//! Figures 2–8 are `cargo run --release --example figures`) and the
+//! `iobench` CLI (`cargo run --release -p iobench -- all`). Host-time
+//! measurement lives in `benchmark/`.
 
 pub use clufs;
 pub use diskmodel;

@@ -26,22 +26,7 @@ pub struct ExtentStats {
 
 /// Writes a probe file of `bytes` and measures its physical contiguity.
 pub async fn probe_extents(world: &World, path: &str, bytes: u64) -> FsResult<ExtentStats> {
-    let io = 8192usize;
-    // Zero payload: contents are never read back, and the sparse sector
-    // store does not materialize zero chunks, so probe files cost no host
-    // memory no matter how large the partition is.
-    let payload: Vec<u8> = vec![0; io];
-    let f = world.fs.create(path).await?;
-    let mut written = 0u64;
-    while written < bytes {
-        match f.write(written, &payload, AccessMode::Copy).await {
-            Ok(()) => written += io as u64,
-            Err(FsError::NoSpace) => break,
-            Err(e) => return Err(e),
-        }
-    }
-    f.fsync().await?;
-    let extents = f.extents().await?;
+    let (_, written, extents) = write_probe(&world.fs, path, bytes).await?;
     let total_blocks: u64 = extents.iter().map(|e| e.2 as u64).sum();
     let max = extents.iter().map(|e| e.2 as u64).max().unwrap_or(0);
     Ok(ExtentStats {
@@ -77,64 +62,25 @@ impl Default for AgingOptions {
     }
 }
 
-/// Ages the file system like a `/home` partition: repeatedly fills it with
-/// files of mixed sizes, then deletes a random subset, leaving scattered
-/// free space. Returns the number of files left on disk.
+/// Ages the file system like a `/home` partition: `opts.rounds` churn
+/// rounds under `home/`, each filling toward the target and then deleting
+/// a random subset, leaving scattered free space. Returns the number of
+/// files left on disk.
 pub async fn age_filesystem(world: &World, opts: AgingOptions) -> FsResult<usize> {
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let mut alive: Vec<String> = Vec::new();
-    let mut counter = 0usize;
+    let (mut alive, mut counter) = (Vec::new(), 0);
     world.fs.mkdir("home").await?;
-    let capacity = world.fs.capacity_blocks();
-    // One payload for all rounds: the fill loop creates thousands of
-    // files and a per-file 8 KB allocation was pure churn. It is all zeros
-    // so the sparse sector store never materializes the file data (only
-    // metadata blocks occupy host memory).
-    let payload = vec![0u8; 8192];
-    for _round in 0..opts.rounds {
-        // Fill toward the target.
-        loop {
-            let used = capacity - world.fs.free_blocks();
-            if used as f64 / capacity as f64 >= opts.target_fill {
-                break;
-            }
-            let name = format!("home/f{counter}");
-            counter += 1;
-            // Mixed sizes: mostly small, some large (log-ish distribution).
-            let kb = match rng.gen_range(0..10) {
-                0..=5 => rng.gen_range(1..16),   // small
-                6..=8 => rng.gen_range(16..256), // medium
-                _ => rng.gen_range(256..2048),   // large
-            };
-            let f = world.fs.create(&name).await?;
-            let mut off = 0u64;
-            let mut failed = false;
-            while off < kb as u64 * 1024 {
-                match f.write(off, &payload, AccessMode::Copy).await {
-                    Ok(()) => off += 8192,
-                    Err(FsError::NoSpace) => {
-                        failed = true;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            f.fsync().await?;
-            alive.push(name);
-            if failed {
-                break;
-            }
-        }
-        // Delete a random 40% to punch holes.
-        let mut survivors = Vec::new();
-        for name in alive.drain(..) {
-            if rng.gen_bool(0.4) {
-                world.fs.remove(&name).await?;
-            } else {
-                survivors.push(name);
-            }
-        }
-        alive = survivors;
+    for _ in 0..opts.rounds {
+        churn_round(
+            &world.fs,
+            "home/",
+            &mut rng,
+            &mut alive,
+            &mut counter,
+            opts.target_fill,
+            usize::MAX,
+        )
+        .await?;
     }
     Ok(alive.len())
 }
@@ -212,6 +158,31 @@ pub struct DecayPoint {
     pub seq_read_kb_s: f64,
 }
 
+/// Writes `bytes` to a new file at `path` (fewer if the disk fills),
+/// fsyncs it, and returns it with the bytes written and its extent map.
+async fn write_probe<F: AgedFs>(
+    fs: &F,
+    path: &str,
+    bytes: u64,
+) -> FsResult<(F::File, u64, Vec<(u64, u64, u32)>)> {
+    // Zero payload: contents are never read back, and the sparse sector
+    // store does not materialize zero chunks, so probe files cost no host
+    // memory no matter how large the partition is.
+    let payload = vec![0u8; 8192];
+    let f = fs.create(path).await?;
+    let mut written = 0u64;
+    while written < bytes {
+        match f.write(written, &payload, AccessMode::Copy).await {
+            Ok(()) => written += payload.len() as u64,
+            Err(FsError::NoSpace) => break,
+            Err(e) => return Err(e),
+        }
+    }
+    f.fsync().await?;
+    let extents = F::extent_map(&f).await?;
+    Ok((f, written, extents))
+}
+
 /// Writes a probe file under `dir`, measures its extent map and cold
 /// sequential-read throughput, then removes it.
 async fn decay_probe<F: AgedFs>(
@@ -222,19 +193,7 @@ async fn decay_probe<F: AgedFs>(
 ) -> FsResult<DecayPoint> {
     let (sim, fs) = (&w.sim, &w.fs);
     let path = format!("{dir}probe.dat");
-    // Zeros: never read for content, never materialized by the store.
-    let payload = vec![0u8; 8192];
-    let f = fs.create(&path).await?;
-    let mut written = 0u64;
-    while written < probe_bytes {
-        match f.write(written, &payload, AccessMode::Copy).await {
-            Ok(()) => written += payload.len() as u64,
-            Err(FsError::NoSpace) => break,
-            Err(e) => return Err(e),
-        }
-    }
-    f.fsync().await?;
-    let extents = F::extent_map(&f).await?;
+    let (f, written, extents) = write_probe(fs, &path, probe_bytes).await?;
     let blocks: u64 = extents.iter().map(|e| e.2 as u64).sum();
     let adjacent: u64 = extents.iter().map(|e| e.2 as u64 - 1).sum();
     let contiguity = if blocks > 1 {
@@ -273,30 +232,32 @@ async fn decay_probe<F: AgedFs>(
     })
 }
 
-/// One churn round: fill toward the target utilization with mixed-size
-/// files (bounded by the op budget), then delete a random 40%.
+/// One churn round: fill toward `target_fill` with at most `max_files`
+/// mixed-size files, then delete a random 40%.
 async fn churn_round<F: AgedFs>(
     fs: &F,
     dir: &str,
     rng: &mut SmallRng,
     alive: &mut Vec<String>,
     counter: &mut usize,
-    opts: &DecayOptions,
+    target_fill: f64,
+    max_files: usize,
 ) -> FsResult<()> {
     let capacity = fs.capacity_blocks();
     // Zeros: never read for content, never materialized by the store.
     let payload = vec![0u8; 8192];
-    for _ in 0..opts.ops_per_round {
+    for _ in 0..max_files {
         let used = capacity - fs.free_blocks();
-        if used as f64 / capacity as f64 >= opts.target_fill {
+        if used as f64 / capacity as f64 >= target_fill {
             break;
         }
         let name = format!("{dir}f{counter}");
         *counter += 1;
+        // Mixed sizes: mostly small, some large (log-ish distribution).
         let kb = match rng.gen_range(0..10) {
-            0..=5 => rng.gen_range(1..16),
-            6..=8 => rng.gen_range(16..256),
-            _ => rng.gen_range(256..2048),
+            0..=5 => rng.gen_range(1..16),   // small
+            6..=8 => rng.gen_range(16..256), // medium
+            _ => rng.gen_range(256..2048),   // large
         };
         let f = match fs.create(&name).await {
             Ok(f) => f,
@@ -349,7 +310,16 @@ pub async fn clustering_decay<F: AgedFs>(
     let mut counter = 0usize;
     let mut points = vec![decay_probe(w, dir, 0, opts.probe_bytes).await?];
     for round in 1..=opts.rounds {
-        churn_round(&w.fs, dir, &mut rng, &mut alive, &mut counter, opts).await?;
+        churn_round(
+            &w.fs,
+            dir,
+            &mut rng,
+            &mut alive,
+            &mut counter,
+            opts.target_fill,
+            opts.ops_per_round,
+        )
+        .await?;
         points.push(decay_probe(w, dir, round, opts.probe_bytes).await?);
     }
     Ok(points)

@@ -659,11 +659,6 @@ impl PageCache {
         f(&self.inner.pages.borrow()[id.idx].data)
     }
 
-    /// Alias of [`PageCache::with_page`] (the original borrow-based name).
-    pub fn with_data<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.with_page(id, f)
-    }
-
     /// Overwrites page bytes at `off` (does NOT set the dirty flag — the
     /// caller decides, since fills from disk are not modifications).
     pub fn write_at(&self, id: PageId, off: usize, src: &[u8]) {
@@ -996,7 +991,7 @@ mod tests {
             pc2.unbusy(id);
             let found = pc2.lookup(key(1, 0)).expect("cached");
             assert_eq!(found, id);
-            pc2.with_data(found, |d| assert_eq!(&d[..5], b"hello"));
+            pc2.with_page(found, |d| assert_eq!(&d[..5], b"hello"));
             assert!(pc2.lookup(key(1, 8192)).is_none());
             pc2.assert_consistent();
         });
@@ -1019,7 +1014,7 @@ mod tests {
             assert_eq!(pc2.free_count(), 32);
             // Reclaim: the identity survived the free.
             let back = pc2.lookup(key(1, 0)).expect("reclaimable");
-            pc2.with_data(back, |d| assert_eq!(&d[..4], b"data"));
+            pc2.with_page(back, |d| assert_eq!(&d[..4], b"data"));
             assert_eq!(pc2.free_count(), 31);
             pc2.assert_consistent();
         });

@@ -19,7 +19,6 @@
 //! - [`sync::Semaphore`] — FIFO counting semaphore (the paper's write limit)
 //! - [`channel()`] — mpsc work queues (e.g. dirty-page cleaner)
 //! - [`Cpu`] — serialized compute-time charging with per-tag accounting
-//! - [`Recorder`] — timestamped event logs for trace-exact tests
 //! - [`Tracer`] — per-request span tracing across layers (zero-cost when
 //!   disabled), behind `iobench --trace`
 //! - [`stats`] — the per-`Sim` metrics registry (counters, gauges,
@@ -54,4 +53,4 @@ pub use rng::SimRng;
 pub use stats::{Counter, Gauge, Histogram, NameId, StatsRegistry, TimeWeighted};
 pub use sync::{Event, Notify, SemPermit, Semaphore};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Recorder, Span, SpanId, Tracer};
+pub use trace::{Span, SpanId, Tracer};

@@ -26,7 +26,6 @@
 //! byte-identical snapshots. The schema is documented in DESIGN.md
 //! ("Observability") and asserted stable by tests.
 
-use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -36,7 +35,6 @@ use std::rc::Rc;
 use crate::executor::TimeHandle;
 use crate::json;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Recorder;
 
 /// A monotonically increasing counter.
 #[derive(Clone)]
@@ -292,7 +290,6 @@ impl Hasher for PackedKeyHasher {
 struct RegistryInner {
     time: TimeHandle,
     metrics: RefCell<BTreeMap<String, Metric>>,
-    recorders: RefCell<HashMap<TypeId, Box<dyn Any>>>,
     /// Next stream label handed out by [`StatsRegistry::alloc_stream`].
     /// Stream 0 is reserved for untagged (background/metadata) I/O.
     next_stream: Cell<u32>,
@@ -323,7 +320,6 @@ impl StatsRegistry {
             inner: Rc::new(RegistryInner {
                 time,
                 metrics: RefCell::new(BTreeMap::new()),
-                recorders: RefCell::new(HashMap::new()),
                 next_stream: Cell::new(1),
                 interned: RefCell::new(Vec::new()),
                 interned_ids: RefCell::new(HashMap::new()),
@@ -554,19 +550,6 @@ impl StatsRegistry {
             Some(Metric::Histogram(h)) => Some((h.count(), h.sum())),
             _ => None,
         }
-    }
-
-    /// The shared, type-indexed [`Recorder`] for event type `E`: every
-    /// call with the same `E` returns a clone of one underlying log, so
-    /// experiments no longer hand-thread `Recorder::new(&sim)` clones.
-    pub fn recorder<E: 'static>(&self) -> Recorder<E> {
-        let mut map = self.inner.recorders.borrow_mut();
-        let slot = map
-            .entry(TypeId::of::<Recorder<E>>())
-            .or_insert_with(|| Box::new(Recorder::<E>::with_time(self.inner.time.clone())));
-        slot.downcast_ref::<Recorder<E>>()
-            .expect("recorder typemap entry has the keyed type")
-            .clone()
     }
 
     /// Reads a counter's value by name (0 if absent). Intended for tests
@@ -836,24 +819,5 @@ mod tests {
             Some((1, 6))
         );
         assert_eq!(sim.stats().histogram_totals("absent"), None);
-    }
-
-    #[test]
-    fn shared_recorder_keeps_take_semantics() {
-        let sim = Sim::new();
-        let rec = sim.recorder::<&'static str>();
-        let rec2 = sim.recorder::<&'static str>();
-        rec.record("one");
-        rec2.record("two");
-        // Both handles see one shared log, typed by E.
-        assert_eq!(rec.events(), vec!["one", "two"]);
-        let drained = rec.take();
-        assert_eq!(drained.len(), 2);
-        assert!(rec2.is_empty());
-        // A different event type gets a different log.
-        let other = sim.recorder::<u32>();
-        other.record(7);
-        assert_eq!(other.len(), 1);
-        assert!(rec.is_empty());
     }
 }

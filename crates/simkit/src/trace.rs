@@ -1,98 +1,16 @@
-//! Timestamped event recording for tests and table generation, and the
-//! per-request span tracer.
+//! The per-request span tracer.
 //!
-//! Crates define their own event enums (disk requests, page faults, cluster
-//! pushes, ...) and record them here; tests then assert exact sequences, the
-//! way the paper's Figures 3, 6 and 7 tabulate per-fault actions.
-//!
-//! The [`Tracer`] generalizes this: instead of flat per-crate event logs it
-//! records **spans** — named virtual-time intervals with a stream label and
-//! a parent — so one logical request (`read` → `getpage` → cluster read →
-//! disk queue wait → disk service) nests end to end across layers. Spans
-//! export to Chrome trace-event JSON (see `iobench --trace`) and feed the
-//! latency-attribution analyzer.
+//! The [`Tracer`] records **spans** — named virtual-time intervals with a
+//! stream label and a parent — so one logical request (`read` → `getpage`
+//! → cluster read → disk queue wait → disk service) nests end to end
+//! across layers. Spans export to Chrome trace-event JSON (see `iobench
+//! --trace`) and feed the latency-attribution analyzer.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use crate::executor::{Sim, TimeHandle};
 use crate::time::SimTime;
-
-/// A shared, timestamped event log.
-///
-/// Standalone construction via [`Recorder::new`] still works, but the
-/// registry surface (`sim.recorder::<E>()`) hands out one shared log per
-/// event type, so experiments don't have to thread recorder clones by
-/// hand. The recorder holds only a [`TimeHandle`], never a full `Sim`,
-/// so the registry can store it without creating an `Rc` cycle.
-pub struct Recorder<E> {
-    time: TimeHandle,
-    events: Rc<RefCell<Vec<(SimTime, E)>>>,
-}
-
-impl<E> Clone for Recorder<E> {
-    fn clone(&self) -> Self {
-        Recorder {
-            time: self.time.clone(),
-            events: Rc::clone(&self.events),
-        }
-    }
-}
-
-impl<E> Recorder<E> {
-    /// Creates an empty recorder stamping events with `sim`'s clock.
-    pub fn new(sim: &Sim) -> Self {
-        Self::with_time(sim.time_handle())
-    }
-
-    pub(crate) fn with_time(time: TimeHandle) -> Self {
-        Recorder {
-            time,
-            events: Rc::new(RefCell::new(Vec::new())),
-        }
-    }
-
-    /// Appends an event stamped with the current virtual time.
-    pub fn record(&self, event: E) {
-        self.events.borrow_mut().push((self.time.now(), event));
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.borrow().len()
-    }
-
-    /// Returns `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains and returns all recorded events in order.
-    pub fn take(&self) -> Vec<(SimTime, E)> {
-        std::mem::take(&mut *self.events.borrow_mut())
-    }
-
-    /// Discards all recorded events.
-    pub fn clear(&self) {
-        self.events.borrow_mut().clear();
-    }
-}
-
-impl<E: Clone> Recorder<E> {
-    /// Returns a copy of the events (timestamps dropped).
-    pub fn events(&self) -> Vec<E> {
-        self.events
-            .borrow()
-            .iter()
-            .map(|(_, e)| e.clone())
-            .collect()
-    }
-
-    /// Returns a copy of the events with timestamps.
-    pub fn timed_events(&self) -> Vec<(SimTime, E)> {
-        self.events.borrow().clone()
-    }
-}
 
 /// Identifies one span within a [`Tracer`].
 ///
@@ -161,7 +79,7 @@ struct TracerInner {
 /// one `Cell<bool>` and returns [`SpanId::NONE`] without touching the span
 /// store, so instrumented code costs a predictable branch and nothing else
 /// — benchmark numbers with tracing off are identical to an untraced build.
-/// Like [`Recorder`] and the stats registry, the tracer holds only a
+/// Like the stats registry, the tracer holds only a
 /// [`TimeHandle`], never a full `Sim`, so the executor can own it without
 /// an `Rc` cycle.
 #[derive(Clone)]
@@ -299,39 +217,6 @@ impl Tracer {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
-
-    #[test]
-    fn records_with_timestamps() {
-        let sim = Sim::new();
-        let rec: Recorder<&'static str> = Recorder::new(&sim);
-        let rec2 = rec.clone();
-        let s = sim.clone();
-        sim.run_until(async move {
-            rec2.record("start");
-            s.sleep(SimDuration::from_millis(4)).await;
-            rec2.record("after-sleep");
-        });
-        let got = rec.timed_events();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], (SimTime::ZERO, "start"));
-        assert_eq!(
-            got[1],
-            (SimTime::ZERO + SimDuration::from_millis(4), "after-sleep")
-        );
-        assert_eq!(rec.events(), vec!["start", "after-sleep"]);
-    }
-
-    #[test]
-    fn take_drains() {
-        let sim = Sim::new();
-        let rec: Recorder<u32> = Recorder::new(&sim);
-        rec.record(1);
-        rec.record(2);
-        assert_eq!(rec.len(), 2);
-        let drained = rec.take();
-        assert_eq!(drained.len(), 2);
-        assert!(rec.is_empty());
-    }
 
     #[test]
     fn disabled_tracer_records_nothing() {

@@ -1,11 +1,18 @@
-//! `fsck`: an independent consistency checker that reads the raw disk.
+//! `fsck` and `fsck_repair`: an independent consistency checker that reads
+//! the raw disk, and the repair that writes its fixes back.
+//!
+//! Both are one walk. The walk applies every fix to its in-memory copy of
+//! the maps in either mode, so [`fsck`] is exactly a dry run of
+//! [`fsck_repair`]: what `fsck` reports as `errors` is what `fsck_repair`
+//! reports as `repaired`, and only the repair writes anything.
 //!
 //! Deliberately shares no code with the mount path (beyond the layout
 //! definitions), so it cross-checks what the file system actually wrote:
 //! bitmap vs reachability, duplicate claims, pointer validity, link counts,
 //! size/blocks agreement, and summary counters.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::mem;
 
 use diskmodel::{BlockDevice, BlockDeviceExt};
 use vfs::FsResult;
@@ -24,7 +31,8 @@ pub struct FsckReport {
     /// Objects examined: cylinder groups, inode slots, and data blocks
     /// cross-checked against the bitmaps.
     pub checked: u64,
-    /// Repairs applied ([`fsck_repair`] only; plain [`fsck`] never writes).
+    /// Findings [`fsck_repair`] fixed on disk: the `errors` [`fsck`]
+    /// reports for the same image. Plain [`fsck`] never writes.
     pub repaired: Vec<String>,
     /// Damage found that cannot be repaired from on-disk state alone
     /// (restore from backup territory, e.g. an unreadable superblock).
@@ -60,9 +68,57 @@ async fn read_block(disk: &dyn BlockDevice, pbn: u64, buf: Vec<u8>) -> Vec<u8> {
         .expect("unrecoverable device error on read")
 }
 
+/// Writes block `pbn` and hands the buffer back, like [`read_block`].
+async fn write_block(disk: &dyn BlockDevice, pbn: u64, data: Vec<u8>) -> Vec<u8> {
+    disk.try_write_from(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK, data)
+        .await
+        .expect("unrecoverable device error on write")
+}
+
 fn read_ptr(block: &[u8], idx: usize) -> u32 {
     let off = idx * 4;
     u32::from_le_bytes(block[off..off + 4].try_into().unwrap())
+}
+
+/// Sets bit `i` of `bitmap` to `on` and returns whether it changed. The
+/// group's free counters are left alone: pass 3 recounts them.
+fn set_bit(bitmap: &mut [u8], i: u32, on: bool) -> bool {
+    let (byte, bit) = (&mut bitmap[(i / 8) as usize], 1u8 << (i % 8));
+    let was = *byte & bit != 0;
+    if on {
+        *byte |= bit;
+    } else {
+        *byte &= !bit;
+    }
+    was != on
+}
+
+/// Offers the first `n` pointers of map block `map` to `claim`, which
+/// zeroes the ones it rejects. Returns how many it accepted and whether a
+/// slot was zeroed.
+fn claim_slots(map: &mut [u8], n: usize, mut claim: impl FnMut(&mut u32) -> bool) -> (u32, bool) {
+    let (mut accepted, mut zeroed) = (0, false);
+    for slot in map[..n * 4].chunks_exact_mut(4) {
+        let was = u32::from_le_bytes((&*slot).try_into().unwrap());
+        let mut p = was;
+        if claim(&mut p) {
+            accepted += 1;
+        } else if p != was {
+            slot.copy_from_slice(&p.to_le_bytes());
+            zeroed = true;
+        }
+    }
+    (accepted, zeroed)
+}
+
+/// Files a block the walk changed for write-back, or hands an unchanged
+/// block's buffer back for the next read.
+fn keep(dirty: &mut BTreeMap<u64, Vec<u8>>, pbn: u32, data: Vec<u8>, changed: bool) -> Vec<u8> {
+    if !changed {
+        return data;
+    }
+    dirty.insert(pbn as u64, data);
+    Vec::new()
 }
 
 /// Checks the file system on `disk`. Damage is reported, never repaired;
@@ -70,297 +126,38 @@ fn read_ptr(block: &[u8], idx: usize) -> u32 {
 /// than an error return, so callers can print one structured report for
 /// any state of the disk.
 pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
-    let mut report = FsckReport::default();
-    let mut buf = read_block(disk, SB_BLOCK, Vec::new()).await;
-    let Some(sb) = Superblock::decode(&buf) else {
-        report
-            .unfixable
-            .push("superblock: bad magic; restore from backup".to_string());
-        return Ok(report);
-    };
-    report.was_clean = sb.clean;
-
-    // Group headers.
-    let mut cgs = Vec::new();
-    for cgx in 0..sb.ncg {
-        report.checked += 1;
-        buf = read_block(disk, sb.cg_start(cgx), buf).await;
-        match CgHeader::decode(&buf) {
-            Some(cg) if cg.cgx == cgx => cgs.push(cg),
-            Some(cg) => {
-                report
-                    .errors
-                    .push(format!("cg {cgx}: header claims index {}", cg.cgx));
-                cgs.push(cg);
-            }
-            None => {
-                report.errors.push(format!("cg {cgx}: bad magic"));
-                cgs.push(CgHeader::empty(&sb, cgx));
-            }
-        }
-    }
-
-    // Pass 1: walk inodes, collect block claims.
-    let mut claims: HashMap<u64, u32> = HashMap::new(); // pbn -> first claiming ino
-    let mut dinodes: HashMap<u32, Dinode> = HashMap::new();
-    // The second-level map of a double-indirect walk, read while `buf`
-    // holds the first.
-    let mut buf2 = Vec::new();
-    let mut claim = |report: &mut FsckReport, ino: u32, pbn: u64| {
-        if !sb.is_data_block(pbn) {
-            report
-                .errors
-                .push(format!("ino {ino}: pointer to non-data block {pbn}"));
-            return false;
-        }
-        if let Some(prev) = claims.get(&pbn) {
-            report.errors.push(format!(
-                "block {pbn} claimed by both ino {prev} and ino {ino}"
-            ));
-            return false;
-        }
-        claims.insert(pbn, ino);
-        true
-    };
-
-    for ino in 0..sb.total_inodes() {
-        if ino < 2 {
-            continue; // Reserved.
-        }
-        report.checked += 1;
-        let (pbn, idx) = sb.inode_location(ino);
-        buf = read_block(disk, pbn, buf).await;
-        let din = match Dinode::decode(&buf[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]) {
-            Some(d) => d,
-            None => {
-                report.errors.push(format!("ino {ino}: undecodable dinode"));
-                continue;
-            }
-        };
-        let cg = &cgs[(ino / sb.inodes_per_cg) as usize];
-        let in_bitmap = cg.inode_allocated(ino % sb.inodes_per_cg);
-        match (din.kind, in_bitmap) {
-            (FileKind::Free, false) => continue,
-            (FileKind::Free, true) => {
-                report
-                    .errors
-                    .push(format!("ino {ino}: allocated in bitmap but dinode is free"));
-                continue;
-            }
-            (_, false) => {
-                report
-                    .errors
-                    .push(format!("ino {ino}: dinode in use but bitmap says free"));
-            }
-            (_, true) => {}
-        }
-        match din.kind {
-            FileKind::Regular | FileKind::Symlink => report.files += 1,
-            FileKind::Directory => report.dirs += 1,
-            FileKind::Free => unreachable!(),
-        }
-        // Walk block pointers.
-        let mut counted = 0u32;
-        if din.inline.is_none() {
-            let nblocks = din.size.div_ceil(BLOCK_SIZE as u64);
-            for i in 0..NDADDR.min(nblocks as usize) {
-                let p = din.direct[i];
-                if p != 0 && claim(&mut report, ino, p as u64) {
-                    counted += 1;
-                }
-            }
-            if din.indirect != 0 {
-                if claim(&mut report, ino, din.indirect as u64) {
-                    counted += 1;
-                }
-                buf = read_block(disk, din.indirect as u64, buf).await;
-                let covered = nblocks
-                    .saturating_sub(NDADDR as u64)
-                    .min(PTRS_PER_BLOCK as u64);
-                for i in 0..covered as usize {
-                    let p = read_ptr(&buf, i);
-                    if p != 0 && claim(&mut report, ino, p as u64) {
-                        counted += 1;
-                    }
-                }
-            }
-            if din.double != 0 {
-                if claim(&mut report, ino, din.double as u64) {
-                    counted += 1;
-                }
-                buf = read_block(disk, din.double as u64, buf).await;
-                for i in 0..PTRS_PER_BLOCK {
-                    let mid = read_ptr(&buf, i);
-                    if mid == 0 {
-                        continue;
-                    }
-                    if claim(&mut report, ino, mid as u64) {
-                        counted += 1;
-                    }
-                    buf2 = read_block(disk, mid as u64, buf2).await;
-                    for j in 0..PTRS_PER_BLOCK {
-                        let p = read_ptr(&buf2, j);
-                        if p != 0 && claim(&mut report, ino, p as u64) {
-                            counted += 1;
-                        }
-                    }
-                }
-            }
-            if counted != din.blocks {
-                report.errors.push(format!(
-                    "ino {ino}: dinode claims {} blocks, found {counted}",
-                    din.blocks
-                ));
-            }
-        } else if din.blocks != 0 {
-            report.errors.push(format!(
-                "ino {ino}: inline data but blocks = {}",
-                din.blocks
-            ));
-        }
-        dinodes.insert(ino, din);
-    }
-    report.used_blocks = claims.len() as u64;
-
-    // Pass 2: directory connectivity and link counts.
-    let mut link_refs: HashMap<u32, u16> = HashMap::new();
-    let mut visited: HashSet<u32> = HashSet::new();
-    let mut queue = VecDeque::new();
-    if dinodes.contains_key(&ROOT_INO) {
-        queue.push_back(ROOT_INO);
-        visited.insert(ROOT_INO);
-    } else {
-        report.errors.push("root directory missing".to_string());
-    }
-    while let Some(dir_ino) = queue.pop_front() {
-        let din = dinodes[&dir_ino].clone();
-        let nblocks = din.size.div_ceil(BLOCK_SIZE as u64);
-        for lbn in 0..nblocks.min(NDADDR as u64) {
-            let p = din.direct[lbn as usize];
-            if p == 0 {
-                continue;
-            }
-            buf = read_block(disk, p as u64, buf).await;
-            let data = &buf;
-            let mut pos = 0usize;
-            while pos + 5 <= BLOCK_SIZE {
-                let ino = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-                let namelen = data[pos + 4] as usize;
-                if ino == 0 && namelen == 0 {
-                    break;
-                }
-                pos += 5 + namelen;
-                if ino == 0 {
-                    continue;
-                }
-                match dinodes.get(&ino) {
-                    None => report.errors.push(format!(
-                        "dir {dir_ino}: entry references unallocated ino {ino}"
-                    )),
-                    Some(d) => {
-                        *link_refs.entry(ino).or_insert(0) += 1;
-                        if d.kind == FileKind::Directory && visited.insert(ino) {
-                            queue.push_back(ino);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for (&ino, din) in &dinodes {
-        if ino == ROOT_INO {
-            continue;
-        }
-        let refs = link_refs.get(&ino).copied().unwrap_or(0);
-        if refs == 0 {
-            report
-                .errors
-                .push(format!("ino {ino}: allocated but unreachable (orphan)"));
-        } else if din.kind == FileKind::Regular && refs != din.nlink {
-            report.errors.push(format!(
-                "ino {ino}: nlink {} but {} directory references",
-                din.nlink, refs
-            ));
-        }
-    }
-
-    // Pass 3: bitmap vs claims, and summary counters.
-    let mut free_blocks_maps = 0u64;
-    let mut free_inodes_maps = 0u64;
-    for (cgx, cg) in cgs.iter().enumerate() {
-        let mut cg_used = 0u32;
-        for i in 0..sb.data_blocks_per_cg() {
-            report.checked += 1;
-            let pbn = sb.cg_data_start(cgx as u32) + i as u64;
-            let bit = cg.block_allocated(i);
-            let claimed = claims.contains_key(&pbn) || (cgx == 0 && i == 0);
-            // (cg 0 data block 0 is the root directory block, claimed via
-            // the root dinode walk above — it IS in claims; the extra
-            // clause keeps mkfs-only images clean.)
-            if bit && !claimed && !(cgx == 0 && i == 0) {
-                report
-                    .errors
-                    .push(format!("block {pbn}: allocated in bitmap but unclaimed"));
-            }
-            if !bit && claims.contains_key(&pbn) {
-                report
-                    .errors
-                    .push(format!("block {pbn}: claimed but free in bitmap"));
-            }
-            if bit {
-                cg_used += 1;
-            }
-        }
-        let expect_free = sb.data_blocks_per_cg() - cg_used;
-        if cg.free_blocks != expect_free {
-            report.errors.push(format!(
-                "cg {cgx}: free_blocks {} but bitmap shows {expect_free}",
-                cg.free_blocks
-            ));
-        }
-        free_blocks_maps += cg.free_blocks as u64;
-        free_inodes_maps += cg.free_inodes as u64;
-    }
-    if sb.free_blocks != free_blocks_maps {
-        report.errors.push(format!(
-            "superblock free_blocks {} != cg total {free_blocks_maps}",
-            sb.free_blocks
-        ));
-    }
-    if sb.free_inodes != free_inodes_maps {
-        report.errors.push(format!(
-            "superblock free_inodes {} != cg total {free_inodes_maps}",
-            sb.free_inodes
-        ));
-    }
-    Ok(report)
-}
-
-async fn write_block(disk: &dyn BlockDevice, pbn: u64, data: Vec<u8>) {
-    disk.write(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK, data)
-        .await;
+    walk(disk, false).await
 }
 
 /// Repairs the file system on `disk` by rebuilding the maps from what the
-/// inodes and directories actually reference — the classic fsck recipe,
-/// in the order the passes depend on each other:
+/// inodes and directories actually reference: the walk [`fsck`] does, with
+/// its fixes written back and the clean flag set. Each finding lands in
+/// `report.repaired`.
 ///
-/// 1. Walk every dinode, dropping invalid block pointers (out of range, or
-///    already claimed by an earlier inode — first claimant wins) and
-///    recomputing each inode's block count.
-/// 2. Walk the directory tree from the root: zero entries that point at
-///    unallocated inodes, free inodes no directory references (orphans),
-///    and reset regular files' link counts to the observed reference
-///    count.
-/// 3. Rebuild every cylinder group's bitmaps and free counters from the
-///    surviving claims, recompute the superblock summaries, and set the
-///    clean flag.
-///
-/// Every change lands in `report.repaired`. Damage with no on-disk
-/// recovery (an undecodable superblock) is reported `unfixable` and the
-/// disk is left untouched. A [`fsck`] run after a successful repair
-/// reports clean.
+/// Damage with no on-disk recovery (an undecodable superblock, a missing
+/// root directory) is reported `unfixable`, the findings stay in
+/// `errors`, and the disk is left untouched. A [`fsck`] run after a
+/// repair with nothing unfixable reports clean.
 pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
+    walk(disk, true).await
+}
+
+/// The one walk behind [`fsck`] and [`fsck_repair`], in the order the
+/// passes depend on each other:
+///
+/// 1. Walk every dinode. A pointer is followed only once it is claimed;
+///    an invalid or already-claimed one (first claimant wins) is dropped,
+///    and each inode's block count is recomputed.
+/// 2. Walk the directory tree from the root: drop entries naming free
+///    inodes, free the inodes no directory names (orphans) with their
+///    blocks, and set regular files' link counts to the references found.
+/// 3. Rebuild the block bitmaps from the surviving claims, and recount the
+///    groups' and the superblock's free counters.
+///
+/// Every fix lands in the walk's own copy of the maps, whatever `repair`
+/// says. `repair` only decides whether the fixes are written back and the
+/// findings count as `repaired`.
+async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     let mut report = FsckReport::default();
     let mut buf = read_block(disk, SB_BLOCK, Vec::new()).await;
     let Some(mut sb) = Superblock::decode(&buf) else {
@@ -371,229 +168,164 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     };
     report.was_clean = sb.clean;
 
-    // Group headers; an undecodable header is rebuilt from scratch (its
-    // bitmaps are fully reconstructed in pass 3 anyway).
+    // Group headers. One that does not decode to this file system's
+    // bitmap sizes is rebuilt empty; the passes below refill it.
+    let bitmap_bytes = (
+        (sb.data_blocks_per_cg() as usize).div_ceil(8),
+        (sb.inodes_per_cg as usize).div_ceil(8),
+    );
     let mut cgs = Vec::new();
     for cgx in 0..sb.ncg {
         report.checked += 1;
         buf = read_block(disk, sb.cg_start(cgx), buf).await;
-        match CgHeader::decode(&buf) {
-            Some(mut cg) => {
+        cgs.push(match CgHeader::decode(&buf) {
+            Some(cg) if (cg.block_bitmap.len(), cg.inode_bitmap.len()) == bitmap_bytes => {
                 if cg.cgx != cgx {
                     report
-                        .repaired
-                        .push(format!("cg {cgx}: corrected header index {}", cg.cgx));
-                    cg.cgx = cgx;
+                        .errors
+                        .push(format!("cg {cgx}: header claims index {}", cg.cgx));
                 }
-                cgs.push(cg);
+                CgHeader { cgx, ..cg }
             }
-            None => {
+            _ => {
                 report
-                    .repaired
-                    .push(format!("cg {cgx}: rebuilt undecodable header"));
-                cgs.push(CgHeader::empty(&sb, cgx));
+                    .errors
+                    .push(format!("cg {cgx}: bad magic or bitmap size"));
+                CgHeader::empty(&sb, cgx)
+            }
+        });
+    }
+    // Inodes 0 and 1 are reserved: allocated, never walked.
+    if let Some(cg) = cgs.first_mut() {
+        for ino in 0..2 {
+            if set_bit(&mut cg.inode_bitmap, ino, true) {
+                report
+                    .errors
+                    .push(format!("ino {ino}: reserved but free in bitmap"));
             }
         }
     }
 
-    // Pass 1: walk inodes; sanitize pointers; collect claims.
+    // Pass 1: walk inodes, collect block claims.
     let mut claims: HashMap<u64, u32> = HashMap::new(); // pbn -> claiming ino
     let mut dinodes: HashMap<u32, Dinode> = HashMap::new();
-    let mut dirty_inos: HashSet<u32> = HashSet::new();
-    // Indirect blocks whose pointer arrays were sanitized, by pbn. A
-    // sanitized block keeps its buffer; every other read reuses `buf`
-    // (`buf2` under a double-indirect walk's first-level map).
-    let mut dirty_indirects: HashMap<u64, Vec<u8>> = HashMap::new();
+    // What the fixes changed, for the write-back: dinodes, and the map and
+    // directory blocks (by pbn, in the buffers they were read into).
+    let mut dirty_inos = BTreeSet::new();
+    let mut dirty_blocks = BTreeMap::new();
+    // The second-level map of a double-indirect walk, read while `buf`
+    // holds the first.
     let mut buf2 = Vec::new();
+    // Claims the block `p` names for `ino`, or zeroes `p`.
+    let mut claim = |errors: &mut Vec<String>, ino: u32, p: &mut u32| {
+        let pbn = *p as u64;
+        if pbn == 0 {
+            return false;
+        }
+        if !sb.is_data_block(pbn) {
+            errors.push(format!("ino {ino}: pointer to non-data block {pbn}"));
+        } else if let Some(prev) = claims.get(&pbn) {
+            errors.push(format!(
+                "block {pbn} claimed by both ino {prev} and ino {ino}"
+            ));
+        } else {
+            claims.insert(pbn, ino);
+            return true;
+        }
+        *p = 0;
+        false
+    };
 
     for ino in 2..sb.total_inodes() {
         report.checked += 1;
         let (pbn, idx) = sb.inode_location(ino);
         buf = read_block(disk, pbn, buf).await;
-        let cgx = (ino / sb.inodes_per_cg) as usize;
-        let bit = ino % sb.inodes_per_cg;
-        let mut din = match Dinode::decode(&buf[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]) {
-            Some(d) => d,
-            None => {
-                // Nothing recoverable in the slot: free it.
-                report
-                    .repaired
-                    .push(format!("ino {ino}: cleared undecodable dinode"));
-                if cgs[cgx].clear_inode(bit) {
-                    cgs[cgx].free_inodes += 1;
-                }
-                dinodes.insert(ino, Dinode::free());
-                dirty_inos.insert(ino);
-                continue;
-            }
-        };
-        if din.kind == FileKind::Free {
-            if cgs[cgx].clear_inode(bit) {
-                report
-                    .repaired
-                    .push(format!("ino {ino}: freed in bitmap to match free dinode"));
-                cgs[cgx].free_inodes += 1;
-            }
+        let cg = &mut cgs[(ino / sb.inodes_per_cg) as usize];
+        let slot = ino % sb.inodes_per_cg;
+        let Some(mut din) = Dinode::decode(&buf[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]) else {
+            // Nothing recoverable in the slot: free it.
+            report.errors.push(format!("ino {ino}: undecodable dinode"));
+            set_bit(&mut cg.inode_bitmap, slot, false);
+            dinodes.insert(ino, Dinode::free());
+            dirty_inos.insert(ino);
             continue;
-        }
-        if cgs[cgx].set_inode(bit) {
-            report
-                .repaired
-                .push(format!("ino {ino}: marked allocated in bitmap"));
-            cgs[cgx].free_inodes = cgs[cgx].free_inodes.saturating_sub(1);
+        };
+        let in_use = din.kind != FileKind::Free;
+        if set_bit(&mut cg.inode_bitmap, slot, in_use) {
+            report.errors.push(if in_use {
+                format!("ino {ino}: dinode in use but bitmap says free")
+            } else {
+                format!("ino {ino}: allocated in bitmap but dinode is free")
+            });
         }
         match din.kind {
             FileKind::Regular | FileKind::Symlink => report.files += 1,
             FileKind::Directory => report.dirs += 1,
-            FileKind::Free => unreachable!(),
+            FileKind::Free => continue,
         }
+        let before = (din.direct, din.indirect, din.double, din.blocks);
         if din.inline.is_some() {
             if din.blocks != 0 {
-                report
-                    .repaired
-                    .push(format!("ino {ino}: zeroed block count of inline file"));
+                report.errors.push(format!(
+                    "ino {ino}: inline data but blocks = {}",
+                    din.blocks
+                ));
                 din.blocks = 0;
-                dirty_inos.insert(ino);
             }
-            dinodes.insert(ino, din);
-            continue;
-        }
-        // Sanitize a pointer slot in place: invalid or double-claimed
-        // pointers are zeroed (first claimant keeps the block).
-        let mut claim = |report: &mut FsckReport, p: &mut u32, what: &str| -> bool {
-            if *p == 0 {
-                return false;
+        } else {
+            let nblocks = din.size.div_ceil(BLOCK_SIZE as u64);
+            let mut counted = 0;
+            for p in din.direct.iter_mut().take(NDADDR.min(nblocks as usize)) {
+                counted += claim(&mut report.errors, ino, p) as u32;
             }
-            let pbn = *p as u64;
-            if !sb.is_data_block(pbn) {
-                report.repaired.push(format!(
-                    "ino {ino}: dropped {what} pointer to invalid block {pbn}"
-                ));
-                *p = 0;
-                return false;
+            if claim(&mut report.errors, ino, &mut din.indirect) {
+                let covered = nblocks
+                    .saturating_sub(NDADDR as u64)
+                    .min(PTRS_PER_BLOCK as u64);
+                let mut map = read_block(disk, din.indirect as u64, mem::take(&mut buf)).await;
+                let (n, changed) = claim_slots(&mut map, covered as usize, |p| {
+                    claim(&mut report.errors, ino, p)
+                });
+                counted += 1 + n;
+                buf = keep(&mut dirty_blocks, din.indirect, map, changed);
             }
-            if let Some(&prev) = claims.get(&pbn) {
-                report.repaired.push(format!(
-                    "ino {ino}: dropped {what} pointer to block {pbn} (kept by ino {prev})"
-                ));
-                *p = 0;
-                return false;
-            }
-            claims.insert(pbn, ino);
-            true
-        };
-        let mut counted = 0u32;
-        let nblocks = din.size.div_ceil(BLOCK_SIZE as u64);
-        let mut direct = din.direct;
-        for (i, p) in direct
-            .iter_mut()
-            .enumerate()
-            .take(NDADDR.min(nblocks as usize))
-        {
-            let _ = i;
-            if claim(&mut report, p, "direct") {
-                counted += 1;
-            }
-        }
-        if direct != din.direct {
-            din.direct = direct;
-            dirty_inos.insert(ino);
-        }
-        let mut indirect = din.indirect;
-        if claim(&mut report, &mut indirect, "indirect") {
-            counted += 1;
-            let mut ind = read_block(disk, indirect as u64, std::mem::take(&mut buf)).await;
-            let covered = nblocks
-                .saturating_sub(NDADDR as u64)
-                .min(PTRS_PER_BLOCK as u64);
-            let mut changed = false;
-            for i in 0..covered as usize {
-                let mut p = read_ptr(&ind, i);
-                if claim(&mut report, &mut p, "indirect data") {
-                    counted += 1;
-                } else if read_ptr(&ind, i) != 0 {
-                    ind[i * 4..i * 4 + 4].copy_from_slice(&0u32.to_le_bytes());
-                    changed = true;
-                }
-            }
-            if changed {
-                dirty_indirects.insert(indirect as u64, ind);
-            } else {
-                buf = ind;
-            }
-        }
-        if indirect != din.indirect {
-            din.indirect = indirect;
-            dirty_inos.insert(ino);
-        }
-        let mut double = din.double;
-        if claim(&mut report, &mut double, "double-indirect") {
-            counted += 1;
-            let mut l1 = read_block(disk, double as u64, std::mem::take(&mut buf)).await;
-            let mut l1_changed = false;
-            for i in 0..PTRS_PER_BLOCK {
-                let mut mid = read_ptr(&l1, i);
-                if mid == 0 {
-                    continue;
-                }
-                if claim(&mut report, &mut mid, "double-indirect map") {
-                    counted += 1;
-                    let mut l2 = read_block(disk, mid as u64, std::mem::take(&mut buf2)).await;
-                    let mut l2_changed = false;
-                    for j in 0..PTRS_PER_BLOCK {
-                        let mut p = read_ptr(&l2, j);
-                        if p == 0 {
-                            continue;
-                        }
-                        if claim(&mut report, &mut p, "double-indirect data") {
-                            counted += 1;
-                        } else {
-                            l2[j * 4..j * 4 + 4].copy_from_slice(&0u32.to_le_bytes());
-                            l2_changed = true;
-                        }
+            if claim(&mut report.errors, ino, &mut din.double) {
+                let mut l1 = read_block(disk, din.double as u64, mem::take(&mut buf)).await;
+                let (n, l1_changed) = claim_slots(&mut l1, PTRS_PER_BLOCK, |p| {
+                    claim(&mut report.errors, ino, p)
+                });
+                counted += 1 + n;
+                for i in 0..PTRS_PER_BLOCK {
+                    let mid = read_ptr(&l1, i);
+                    if mid == 0 {
+                        continue;
                     }
-                    if l2_changed {
-                        dirty_indirects.insert(mid as u64, l2);
-                    } else {
-                        buf2 = l2;
-                    }
-                } else {
-                    l1[i * 4..i * 4 + 4].copy_from_slice(&0u32.to_le_bytes());
-                    l1_changed = true;
+                    let mut l2 = read_block(disk, mid as u64, mem::take(&mut buf2)).await;
+                    let (n, changed) = claim_slots(&mut l2, PTRS_PER_BLOCK, |p| {
+                        claim(&mut report.errors, ino, p)
+                    });
+                    counted += n;
+                    buf2 = keep(&mut dirty_blocks, mid, l2, changed);
                 }
+                buf = keep(&mut dirty_blocks, din.double, l1, l1_changed);
             }
-            if l1_changed {
-                dirty_indirects.insert(double as u64, l1);
-            } else {
-                buf = l1;
+            if counted != din.blocks {
+                report.errors.push(format!(
+                    "ino {ino}: dinode claims {} blocks, found {counted}",
+                    din.blocks
+                ));
+                din.blocks = counted;
             }
         }
-        if double != din.double {
-            din.double = double;
-            dirty_inos.insert(ino);
-        }
-        if counted != din.blocks {
-            report.repaired.push(format!(
-                "ino {ino}: corrected block count {} -> {counted}",
-                din.blocks
-            ));
-            din.blocks = counted;
+        if (din.direct, din.indirect, din.double, din.blocks) != before {
             dirty_inos.insert(ino);
         }
         dinodes.insert(ino, din);
     }
 
-    // Pass 2: reachability from the root. Directory blocks with entries
-    // pointing at unallocated inodes are rewritten with those entries
-    // zeroed; everything never reached is an orphan and gets freed.
-    let mut link_refs: HashMap<u32, u16> = HashMap::new();
-    let mut visited: HashSet<u32> = HashSet::new();
-    let mut queue = VecDeque::new();
+    // Pass 2: directory connectivity and link counts.
     match dinodes.get(&ROOT_INO) {
-        Some(d) if d.kind == FileKind::Directory => {
-            queue.push_back(ROOT_INO);
-            visited.insert(ROOT_INO);
-        }
+        Some(d) if d.kind == FileKind::Directory => {}
         _ => {
             report
                 .unfixable
@@ -601,184 +333,158 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
             return Ok(report);
         }
     }
+    let mut link_refs: HashMap<u32, u16> = HashMap::new();
+    let mut visited: HashSet<u32> = HashSet::new();
+    let mut queue = VecDeque::new();
+    queue.push_back(ROOT_INO);
+    visited.insert(ROOT_INO);
     while let Some(dir_ino) = queue.pop_front() {
-        let din = dinodes[&dir_ino].clone();
-        let nblocks = din.size.div_ceil(BLOCK_SIZE as u64);
-        for lbn in 0..nblocks.min(NDADDR as u64) {
-            let p = din.direct[lbn as usize];
+        let din = &dinodes[&dir_ino];
+        let (direct, nblocks) = (din.direct, din.size.div_ceil(BLOCK_SIZE as u64));
+        for &p in direct.iter().take(nblocks.min(NDADDR as u64) as usize) {
             if p == 0 {
                 continue;
             }
-            let mut data = read_block(disk, p as u64, std::mem::take(&mut buf)).await;
+            let mut data = read_block(disk, p as u64, mem::take(&mut buf)).await;
             let mut changed = false;
             let mut pos = 0usize;
             while pos + 5 <= BLOCK_SIZE {
+                let entry = pos;
                 let ino = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
                 let namelen = data[pos + 4] as usize;
                 if ino == 0 && namelen == 0 {
                     break;
                 }
-                let entry = pos;
                 pos += 5 + namelen;
                 if ino == 0 {
                     continue;
                 }
                 match dinodes.get(&ino) {
-                    None
-                    | Some(Dinode {
-                        kind: FileKind::Free,
-                        ..
-                    }) => {
-                        report.repaired.push(format!(
-                            "dir {dir_ino}: zeroed entry referencing unallocated ino {ino}"
-                        ));
-                        data[entry..entry + 4].copy_from_slice(&0u32.to_le_bytes());
-                        changed = true;
-                    }
-                    Some(d) => {
+                    Some(d) if d.kind != FileKind::Free => {
                         *link_refs.entry(ino).or_insert(0) += 1;
                         if d.kind == FileKind::Directory && visited.insert(ino) {
                             queue.push_back(ino);
                         }
                     }
+                    _ => {
+                        report.errors.push(format!(
+                            "dir {dir_ino}: entry references unallocated ino {ino}"
+                        ));
+                        data[entry..entry + 4].fill(0);
+                        changed = true;
+                    }
                 }
             }
-            if changed {
-                write_block(disk, p as u64, data).await;
-            } else {
-                buf = data;
-            }
+            buf = keep(&mut dirty_blocks, p, data, changed);
         }
     }
-    let inos: Vec<u32> = {
-        let mut v: Vec<u32> = dinodes.keys().copied().collect();
-        v.sort_unstable();
-        v
-    };
-    for ino in inos {
-        if ino == ROOT_INO || dinodes[&ino].kind == FileKind::Free {
+    for ino in 2..sb.total_inodes() {
+        let Some(din) = dinodes.get_mut(&ino) else {
+            continue;
+        };
+        if ino == ROOT_INO || din.kind == FileKind::Free {
             continue;
         }
         let refs = link_refs.get(&ino).copied().unwrap_or(0);
         if refs == 0 {
-            // Orphan: free the inode and release its blocks.
             report
-                .repaired
-                .push(format!("ino {ino}: cleared unreachable inode"));
-            claims.retain(|_, &mut owner| owner != ino);
-            let cgx = (ino / sb.inodes_per_cg) as usize;
-            if cgs[cgx].clear_inode(ino % sb.inodes_per_cg) {
-                cgs[cgx].free_inodes += 1;
-            }
-            match dinodes[&ino].kind {
+                .errors
+                .push(format!("ino {ino}: allocated but unreachable (orphan)"));
+            match din.kind {
                 FileKind::Directory => report.dirs -= 1,
                 _ => report.files -= 1,
             }
-            dinodes.insert(ino, Dinode::free());
+            *din = Dinode::free();
+            claims.retain(|_, &mut owner| owner != ino);
+            let cg = &mut cgs[(ino / sb.inodes_per_cg) as usize];
+            set_bit(&mut cg.inode_bitmap, ino % sb.inodes_per_cg, false);
             dirty_inos.insert(ino);
-        } else {
-            let din = dinodes.get_mut(&ino).unwrap();
-            if din.kind == FileKind::Regular && refs != din.nlink {
-                report.repaired.push(format!(
-                    "ino {ino}: corrected nlink {} -> {refs}",
-                    din.nlink
-                ));
-                din.nlink = refs;
-                dirty_inos.insert(ino);
-            }
+        } else if din.kind == FileKind::Regular && refs != din.nlink {
+            report.errors.push(format!(
+                "ino {ino}: nlink {} but {refs} directory references",
+                din.nlink
+            ));
+            din.nlink = refs;
+            dirty_inos.insert(ino);
         }
     }
     report.used_blocks = claims.len() as u64;
 
-    // Pass 3: rebuild the block bitmaps and free counters from the claims
-    // that survived, and refresh the superblock summaries.
-    let mut free_blocks_total = 0u64;
-    let mut free_inodes_total = 0u64;
+    // Pass 3: bitmap vs claims, and summary counters.
+    let (mut free_blocks, mut free_inodes) = (0u64, 0u64);
     for (cgx, cg) in cgs.iter_mut().enumerate() {
-        let mut flipped = 0u32;
         let mut used = 0u32;
         for i in 0..sb.data_blocks_per_cg() {
             report.checked += 1;
             let pbn = sb.cg_data_start(cgx as u32) + i as u64;
             // cg 0 data block 0 is the root directory's block even on a
             // freshly formatted image.
-            let should = claims.contains_key(&pbn) || (cgx == 0 && i == 0);
-            let changed = if should {
-                cg.set_block(i)
-            } else {
-                cg.clear_block(i)
-            };
-            if changed {
-                flipped += 1;
-            }
-            if should {
-                used += 1;
+            let claimed = claims.contains_key(&pbn) || (cgx == 0 && i == 0);
+            used += claimed as u32;
+            if set_bit(&mut cg.block_bitmap, i, claimed) {
+                report.errors.push(if claimed {
+                    format!("block {pbn}: claimed but free in bitmap")
+                } else {
+                    format!("block {pbn}: allocated in bitmap but unclaimed")
+                });
             }
         }
-        if flipped > 0 {
+        let inodes_used = (0..sb.inodes_per_cg)
+            .filter(|&i| cg.inode_allocated(i))
+            .count() as u32;
+        for (what, counter, expect) in [
+            (
+                "free_blocks",
+                &mut cg.free_blocks,
+                sb.data_blocks_per_cg() - used,
+            ),
+            (
+                "free_inodes",
+                &mut cg.free_inodes,
+                sb.inodes_per_cg - inodes_used,
+            ),
+        ] {
+            if *counter != expect {
+                report.errors.push(format!(
+                    "cg {cgx}: {what} {counter} but bitmap shows {expect}"
+                ));
+                *counter = expect;
+            }
+        }
+        free_blocks += cg.free_blocks as u64;
+        free_inodes += cg.free_inodes as u64;
+    }
+    for (what, counter, expect) in [
+        ("free_blocks", &mut sb.free_blocks, free_blocks),
+        ("free_inodes", &mut sb.free_inodes, free_inodes),
+    ] {
+        if *counter != expect {
             report
-                .repaired
-                .push(format!("cg {cgx}: rebuilt block bitmap ({flipped} bits)"));
+                .errors
+                .push(format!("superblock {what} {counter} != cg total {expect}"));
+            *counter = expect;
         }
-        let expect_free = sb.data_blocks_per_cg() - used;
-        if cg.free_blocks != expect_free {
-            report.repaired.push(format!(
-                "cg {cgx}: corrected free_blocks {} -> {expect_free}",
-                cg.free_blocks
-            ));
-            cg.free_blocks = expect_free;
-        }
-        free_blocks_total += cg.free_blocks as u64;
-        free_inodes_total += cg.free_inodes as u64;
-    }
-    if sb.free_blocks != free_blocks_total {
-        report.repaired.push(format!(
-            "superblock: corrected free_blocks {} -> {free_blocks_total}",
-            sb.free_blocks
-        ));
-        sb.free_blocks = free_blocks_total;
-    }
-    if sb.free_inodes != free_inodes_total {
-        report.repaired.push(format!(
-            "superblock: corrected free_inodes {} -> {free_inodes_total}",
-            sb.free_inodes
-        ));
-        sb.free_inodes = free_inodes_total;
-    }
-    if !sb.clean {
-        report
-            .repaired
-            .push("superblock: set clean after repair".to_string());
-        sb.clean = true;
     }
 
-    // Write back everything that changed: sanitized indirect blocks,
-    // dirty dinodes (grouped per inode-table block), every group header,
-    // and the superblock last.
-    for (pbn, data) in dirty_indirects {
-        write_block(disk, pbn, data).await;
-    }
-    let mut by_block: HashMap<u64, Vec<u32>> = HashMap::new();
-    for &ino in &dirty_inos {
-        by_block
-            .entry(sb.inode_location(ino).0)
-            .or_default()
-            .push(ino);
-    }
-    let mut blocks: Vec<u64> = by_block.keys().copied().collect();
-    blocks.sort_unstable();
-    for pbn in blocks {
-        let mut data = read_block(disk, pbn, Vec::new()).await;
-        for &ino in &by_block[&pbn] {
-            let idx = sb.inode_location(ino).1;
-            data[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]
-                .copy_from_slice(&dinodes[&ino].encode());
+    // Write back everything that changed: map and directory blocks, dirty
+    // dinodes, every group header, and the superblock last.
+    if repair {
+        for (pbn, data) in dirty_blocks {
+            write_block(disk, pbn, data).await;
         }
-        write_block(disk, pbn, data).await;
+        for ino in dirty_inos {
+            let (pbn, idx) = sb.inode_location(ino);
+            buf = read_block(disk, pbn, buf).await;
+            buf[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]
+                .copy_from_slice(&dinodes[&ino].encode());
+            buf = write_block(disk, pbn, buf).await;
+        }
+        for (cgx, cg) in cgs.iter().enumerate() {
+            write_block(disk, sb.cg_start(cgx as u32), cg.encode()).await;
+        }
+        sb.clean = true;
+        write_block(disk, SB_BLOCK, sb.encode()).await;
+        report.repaired = mem::take(&mut report.errors);
     }
-    for (cgx, cg) in cgs.iter().enumerate() {
-        write_block(disk, sb.cg_start(cgx as u32), cg.encode()).await;
-    }
-    write_block(disk, SB_BLOCK, sb.encode()).await;
     Ok(report)
 }

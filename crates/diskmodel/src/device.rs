@@ -83,12 +83,7 @@ pub trait BlockDevice {
 
     /// Submits a read of `nsect` sectors at `lba` (untagged stream).
     fn submit_read(&self, lba: u64, nsect: u32) -> IoHandle {
-        self.submit_read_tagged(lba, nsect, 0)
-    }
-
-    /// Submits a read of `nsect` sectors at `lba` on behalf of `stream`.
-    fn submit_read_tagged(&self, lba: u64, nsect: u32, stream: u32) -> IoHandle {
-        self.submit_read_for(lba, nsect, None, stream, SpanId::NONE)
+        self.submit_read_for(lba, nsect, None, 0, SpanId::NONE)
     }
 
     /// Submits a read into `buf` (`None`: the device allocates) on behalf
@@ -115,12 +110,7 @@ pub trait BlockDevice {
     /// Submits a write of `data` (exactly `nsect` sectors) at `lba`
     /// (untagged stream).
     fn submit_write(&self, lba: u64, nsect: u32, data: Vec<u8>) -> IoHandle {
-        self.submit_write_tagged(lba, nsect, data, 0)
-    }
-
-    /// Submits a write of `data` at `lba` on behalf of `stream`.
-    fn submit_write_tagged(&self, lba: u64, nsect: u32, data: Vec<u8>, stream: u32) -> IoHandle {
-        self.submit_write_for(lba, nsect, data, stream, SpanId::NONE)
+        self.submit_write_for(lba, nsect, data, 0, SpanId::NONE)
     }
 
     /// Submits a write on behalf of `stream`, parenting the device's trace

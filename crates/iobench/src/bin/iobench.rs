@@ -51,7 +51,7 @@
 //!
 //! `--perf <path>` turns on the host-side wall-clock profiler
 //! (`simkit::perfmon`) and writes a machine-readable profile (schema
-//! `iobench-perf/v1`) naming the top wall-clock sinks, per-worker
+//! `iobench-perf/v2`) naming the top wall-clock sinks, per-worker
 //! utilization, and allocation churn, plus a summary table on stderr.
 //! `--timeline <path>` turns on the virtual-time telemetry sampler and
 //! writes per-run metric time series (schema `iobench-timeline/v1`);
@@ -224,7 +224,7 @@ fn usage() -> ! {
          aging: --age-ops is a positive churn budget per round, \
          --utilization a target fill in (0, 1), --inline-threshold an \
          extentfs inline-file cutoff in bytes (0..=8192)\n\
-         profiling: --perf writes an iobench-perf/v1 host profile, \
+         profiling: --perf writes an iobench-perf/v2 host profile, \
          --timeline an iobench-timeline/v1 sampled-metrics document; \
          --sample-every takes a positive integer with optional us/ms/s \
          suffix (virtual time, default 10ms) and requires --timeline",
@@ -472,73 +472,60 @@ fn main() {
     }
 
     if let (Some(path), Some(sink)) = (&stats_path, &sink) {
-        match std::fs::write(path, sink.to_json(what)) {
-            Ok(()) => eprintln!("wrote {} run snapshot(s) to {path}", sink.len()),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let doc = sink.to_json(what);
+        write_doc(path, &doc, format_args!("{} run snapshot(s)", sink.len()));
     }
     if let (Some(path), Some(sink)) = (&timeline_path, &sink) {
-        match std::fs::write(path, sink.timeline_json(what)) {
-            Ok(()) => eprintln!("wrote {} sampled run timeline(s) to {path}", sink.len()),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let (Some(path), Some(sink)) = (&trace_path, sink) {
-        // With `--timeline` too, the sampled series ride along as Perfetto
-        // counter tracks. Cloned before `into_traces` consumes the sink.
-        let timelines = if timeline_path.is_some() {
-            sink.timelines()
-        } else {
-            Vec::new()
-        };
-        // Consuming the sink avoids cloning every span on the emit path.
-        let traces = sink.into_traces();
-        println!("Per-run latency attribution (from --trace spans)\n");
-        for (id, spans) in &traces {
-            println!("{id}:");
-            println!("{}", traceout::attribution_table(spans));
-        }
-        if let Some((id, spans)) = traces.first() {
-            println!("Per-fault action timeline (first tree per root kind, {id})\n");
-            println!("{}", traceout::timeline_table(spans, 1));
-        }
-        match std::fs::write(
+        let doc = sink.timeline_json(what);
+        write_doc(
             path,
-            traceout::chrome_trace_json_with_counters(&traces, &timelines),
-        ) {
-            Ok(()) => eprintln!(
-                "wrote {} span(s) across {} run(s) to {path}",
-                traces.iter().map(|(_, s)| s.len()).sum::<usize>(),
-                traces.len()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
+            &doc,
+            format_args!("{} sampled run timeline(s)", sink.len()),
+        );
+    }
+    if let (Some(path), Some(sink)) = (&trace_path, &sink) {
+        // With `--timeline` too, the sampled series ride along as Perfetto
+        // counter tracks.
+        let runs = sink.runs();
+        println!("Per-run latency attribution (from --trace spans)\n");
+        for run in runs.iter() {
+            println!("{}:", run.id);
+            println!("{}", traceout::attribution_table(&run.spans));
         }
+        if let Some(run) = runs.first() {
+            println!(
+                "Per-fault action timeline (first tree per root kind, {})\n",
+                run.id
+            );
+            println!("{}", traceout::timeline_table(&run.spans, 1));
+        }
+        let spans: usize = runs.iter().map(|r| r.spans.len()).sum();
+        write_doc(
+            path,
+            &traceout::chrome_trace_json(&runs),
+            format_args!("{spans} span(s) across {} run(s)", runs.len()),
+        );
     }
     if let Some(path) = &perf_path {
-        // Flush the main thread's buffer by hand (worker threads flushed
-        // when they exited), then drain everything into the report.
-        perfmon::flush_thread();
-        let (records, dropped) = perfmon::take_records();
-        let profile = HostProfile::build(&records, dropped);
+        let records = perfmon::take_records();
+        let profile = HostProfile::build(&records);
         eprint!("{}", profile.summary(what, jobs));
-        match std::fs::write(path, profile.to_json(what, jobs)) {
-            Ok(()) => eprintln!(
-                "wrote host profile ({} phase record(s)) to {path}",
-                records.len()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
+        write_doc(
+            path,
+            &profile.to_json(what, jobs),
+            format_args!("host profile ({} phase record(s))", records.len()),
+        );
+    }
+}
+
+/// Writes one output document to `path` and says so on stderr as
+/// "wrote <what> to <path>", or exits 1 if it cannot.
+fn write_doc(path: &str, doc: &str, what: std::fmt::Arguments) {
+    match std::fs::write(path, doc) {
+        Ok(()) => eprintln!("wrote {what} to {path}"),
+        Err(e) => {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
         }
     }
 }

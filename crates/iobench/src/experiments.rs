@@ -5,10 +5,11 @@
 use clufs::Tuning;
 use diskmodel::{Disk, DiskParams};
 use pagecache::{PageCacheParams, PageoutParams};
-use simkit::{json, Sim};
+use simkit::perfmon::Series;
+use simkit::{json, Sim, SimDuration, Span};
 use vfs::{FileSystem, World};
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -24,30 +25,44 @@ use crate::runner::{RunPlan, Runner};
 use crate::streams::{run_streams, StreamsOptions};
 use crate::{STATS_SCHEMA, TIMELINE_SCHEMA};
 
-/// Collects labeled per-run metrics snapshots (and, with
-/// [`StatsSink::with_tracing`], span traces) during an experiment.
+/// What the [`Runner`] captures from every run it executes for a sink,
+/// beyond the metrics snapshot it always takes: the sink's capture
+/// settings, copied to each worker thread.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RunSpec {
+    /// Arm the run's span tracer (`--trace`).
+    pub tracing: bool,
+    /// Arm the run's telemetry sampler at this virtual-time interval
+    /// (`--timeline`/`--sample-every`).
+    pub sample_every: Option<SimDuration>,
+}
+
+/// Everything one captured run leaves in the [`StatsSink`].
+#[derive(Clone, Debug)]
+pub struct RunCapture {
+    /// `experiment/run` path style, e.g. `fig10/A/FSR`.
+    pub id: String,
+    /// The run's whole metrics registry, serialized.
+    pub stats: String,
+    /// Drained spans (empty unless the sink traces).
+    pub spans: Vec<Span>,
+    /// Sampled series (empty unless the sink samples).
+    pub series: Vec<Series>,
+}
+
+/// Collects one [`RunCapture`] per simulated run of an experiment.
 ///
-/// Every experiment builds a fresh [`Sim`] (and therefore a fresh metrics
-/// registry) per simulated run via [`StatsSink::sim`]; the driver captures
-/// each run's full registry here, and the `--stats-json` flag serializes
-/// the collection as one document (schema [`STATS_SCHEMA`], documented in
-/// DESIGN.md "Observability"). Snapshots are pure functions of the
-/// virtual-time simulation, so two identical runs produce byte-identical
-/// documents.
+/// A [`Runner`] attached to a sink builds every run's fresh [`Sim`] with
+/// the sink's [`RunSpec`] armed, and hands back each run's capture in
+/// plan order. The `--stats-json`, `--timeline` and `--trace` documents
+/// are all written from that one list; the first is schema
+/// [`STATS_SCHEMA`], documented in DESIGN.md "Observability". Captures
+/// are pure functions of the virtual-time simulation, so two identical
+/// runs produce byte-identical documents.
 #[derive(Default)]
 pub struct StatsSink {
-    /// `(run id, registry JSON)` in run order.
-    runs: RefCell<Vec<(String, String)>>,
-    /// Whether [`StatsSink::sim`] arms the span tracer on new sims.
-    tracing: bool,
-    /// Virtual-time telemetry sampling interval: when set,
-    /// [`StatsSink::sim`] arms the sampler on new sims and the per-run
-    /// series land in `timelines` (behind `--timeline`).
-    sample_every: Option<simkit::SimDuration>,
-    /// `(run id, drained spans)` in run order (empty unless tracing).
-    traces: RefCell<Vec<(String, Vec<simkit::Span>)>>,
-    /// `(run id, sampled series)` in run order (empty unless sampling).
-    timelines: RefCell<Vec<(String, Vec<simkit::perfmon::Series>)>>,
+    spec: RunSpec,
+    runs: RefCell<Vec<RunCapture>>,
 }
 
 impl StatsSink {
@@ -55,97 +70,32 @@ impl StatsSink {
     /// and guarantees the sampler task quiesces even if a run misbehaves.
     pub const MAX_SAMPLES_PER_RUN: u64 = 200_000;
 
-    /// An empty sink.
+    /// An empty sink that captures metrics snapshots only.
     pub fn new() -> StatsSink {
         StatsSink::default()
-    }
-
-    /// An empty sink that also captures span traces: sims built through
-    /// [`StatsSink::sim`] get their tracer enabled before the run, and
-    /// [`StatsSink::push`] drains the recorded spans.
-    pub fn with_tracing() -> StatsSink {
-        StatsSink {
-            tracing: true,
-            ..StatsSink::default()
-        }
     }
 
     /// An empty sink with both capture features selectable: span tracing
     /// (`--trace`) and virtual-time telemetry sampling at `sample_every`
     /// (`--timeline`/`--sample-every`). The CLI builds its sink here.
-    pub fn with_capture(tracing: bool, sample_every: Option<simkit::SimDuration>) -> StatsSink {
+    pub fn with_capture(tracing: bool, sample_every: Option<SimDuration>) -> StatsSink {
         StatsSink {
-            tracing,
-            sample_every,
+            spec: RunSpec {
+                tracing,
+                sample_every,
+            },
             ..StatsSink::default()
         }
     }
 
-    /// Builds the sim an experiment run should use, with the span tracer
-    /// enabled when this sink traces and the telemetry sampler armed when
-    /// it samples. Experiments call this (via [`sink_sim`]) instead of
-    /// `Sim::new()` so `--trace`/`--timeline` reach every run without
-    /// per-experiment plumbing.
-    pub fn sim(&self) -> Sim {
-        let sim = Sim::new();
-        if self.tracing {
-            sim.tracer().set_enabled(true);
-        }
-        if let Some(every) = self.sample_every {
-            sim.telemetry()
-                .start(&sim, every, Self::MAX_SAMPLES_PER_RUN);
-        }
-        sim
+    /// What this sink asks the runner to capture.
+    pub(crate) fn spec(&self) -> RunSpec {
+        self.spec
     }
 
-    /// Whether sims built through this sink record span traces.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    /// The telemetry sampling interval, when this sink samples.
-    pub fn sample_every(&self) -> Option<simkit::SimDuration> {
-        self.sample_every
-    }
-
-    /// Captures `sim`'s entire metrics registry under `id`
-    /// (`experiment/run` path style, e.g. `fig10/A/FSR`), draining the
-    /// run's spans and sampled timeline alongside when enabled.
-    pub fn push(&self, id: impl Into<String>, sim: &Sim) {
-        let id = id.into();
-        if self.tracing {
-            self.traces
-                .borrow_mut()
-                .push((id.clone(), sim.tracer().take_spans()));
-        }
-        if self.sample_every.is_some() {
-            self.timelines
-                .borrow_mut()
-                .push((id.clone(), sim.telemetry().take_series()));
-        }
-        self.runs.borrow_mut().push((id, sim.stats().to_json()));
-    }
-
-    /// Captures an already-serialized run outcome (how the parallel
-    /// [`Runner`](crate::runner::Runner) re-emits worker results in plan
-    /// order: workers serialize on their own thread, the sink only ever
-    /// sees main-thread pushes).
-    pub fn push_outcome(
-        &self,
-        id: &str,
-        stats_json: Option<String>,
-        spans: Vec<simkit::Span>,
-        timeline: Vec<simkit::perfmon::Series>,
-    ) {
-        if self.tracing {
-            self.traces.borrow_mut().push((id.to_string(), spans));
-        }
-        if self.sample_every.is_some() {
-            self.timelines.borrow_mut().push((id.to_string(), timeline));
-        }
-        if let Some(stats) = stats_json {
-            self.runs.borrow_mut().push((id.to_string(), stats));
-        }
+    /// Appends one run's capture (the runner does, in plan order).
+    pub(crate) fn push(&self, run: RunCapture) {
+        self.runs.borrow_mut().push(run);
     }
 
     /// Number of captured runs.
@@ -158,35 +108,9 @@ impl StatsSink {
         self.len() == 0
     }
 
-    /// The captured `(run id, registry JSON)` pairs, in run order.
-    pub fn runs(&self) -> Vec<(String, String)> {
-        self.runs.borrow().clone()
-    }
-
-    /// Consumes the sink, yielding the captured `(run id, registry JSON)`
-    /// pairs without cloning them (use on emit paths; [`StatsSink::runs`]
-    /// clones for callers that still need the sink).
-    pub fn into_runs(self) -> Vec<(String, String)> {
-        self.runs.into_inner()
-    }
-
-    /// The captured `(run id, spans)` traces, in run order (empty unless
-    /// built with [`StatsSink::with_tracing`]).
-    pub fn traces(&self) -> Vec<(String, Vec<simkit::Span>)> {
-        self.traces.borrow().clone()
-    }
-
-    /// Consumes the sink, yielding the captured traces without cloning
-    /// every span (traces dwarf the stats snapshots, so the `--trace`
-    /// emit path uses this).
-    pub fn into_traces(self) -> Vec<(String, Vec<simkit::Span>)> {
-        self.traces.into_inner()
-    }
-
-    /// The captured `(run id, series)` timelines, in run order (empty
-    /// unless the sink samples).
-    pub fn timelines(&self) -> Vec<(String, Vec<simkit::perfmon::Series>)> {
-        self.timelines.borrow().clone()
+    /// The captured runs, in run order.
+    pub fn runs(&self) -> Ref<'_, [RunCapture]> {
+        Ref::map(self.runs.borrow(), Vec::as_slice)
     }
 
     /// Serializes the sampled timelines as the `--timeline` document
@@ -195,13 +119,13 @@ impl StatsSink {
     /// function of the virtual-time runs — byte-identical across
     /// identical invocations and any `--jobs` value.
     pub fn timeline_json(&self, experiment: &str) -> String {
-        let every = self.sample_every.map(|d| d.as_nanos()).unwrap_or(0);
+        let every = self.spec.sample_every.map(|d| d.as_nanos()).unwrap_or(0);
         let mut out = document_head(TIMELINE_SCHEMA, experiment);
         let _ = write!(out, ",\"sample_every_ns\":{every},\"runs\":[");
-        for (id, series) in self.timelines.borrow().iter() {
-            json::open_object(&mut out, "id", id);
+        for run in self.runs().iter() {
+            json::open_object(&mut out, "id", &run.id);
             out.push_str(",\"series\":[");
-            for (name, points) in series {
+            for (name, points) in &run.series {
                 json::open_object(&mut out, "name", name);
                 out.push_str(",\"points\":[");
                 for (t, v) in points {
@@ -222,9 +146,9 @@ impl StatsSink {
     pub fn to_json(&self, experiment: &str) -> String {
         let mut out = document_head(STATS_SCHEMA, experiment);
         out.push_str(",\"runs\":[");
-        for (id, stats) in self.runs.borrow().iter() {
-            json::open_object(&mut out, "id", id);
-            let _ = write!(out, ",\"stats\":{stats}}}");
+        for run in self.runs().iter() {
+            json::open_object(&mut out, "id", &run.id);
+            let _ = write!(out, ",\"stats\":{}}}", run.stats);
         }
         out.push_str("]}");
         out
@@ -239,13 +163,6 @@ pub(crate) fn document_head(schema: &str, experiment: &str) -> String {
     json::key(&mut out, "experiment");
     json::string(&mut out, experiment);
     out
-}
-
-/// The [`Sim`] for one experiment run: `sink.sim()` when a sink is
-/// attached (arming the tracer under `--trace`), a plain `Sim::new()`
-/// otherwise.
-fn sink_sim(sink: Option<&StatsSink>) -> Sim {
-    sink.map(|s| s.sim()).unwrap_or_default()
 }
 
 /// Sizing for a full (paper-scale) or quick (CI-scale) run.
@@ -306,46 +223,31 @@ pub fn fig9_table() -> String {
 /// Raw Figure 10 rates: `rates[config][kind]` in KB/s.
 pub type Fig10Data = Vec<Vec<f64>>;
 
-/// Drives one Figure 10 cell (one config, one workload) on `sim`.
-fn fig10_cell_on(sim: &Sim, config: Config, kind: IoKind, scale: RunScale) -> Throughput {
-    let s = sim.clone();
-    sim.run_until(async move {
-        let w = paper_world(&s, config.tuning(), WorldOptions::default())
-            .await
-            .expect("world");
-        measure(&w, "iobench.dat", kind, scale).await
-    })
-}
-
-/// Runs one Figure 10 cell in a fresh world, capturing the run's metrics
-/// snapshot into `sink` as `fig10/<config>/<kind>`. Public so tests can
-/// assert on single-cell snapshots without paying for the whole matrix.
-pub fn fig10_cell(
-    config: Config,
-    kind: IoKind,
-    scale: RunScale,
-    sink: Option<&StatsSink>,
-) -> Throughput {
-    let sim = sink_sim(sink);
-    let t = fig10_cell_on(&sim, config, kind, scale);
-    if let Some(sink) = sink {
-        sink.push(format!("fig10/{}/{}", config.label(), kind.label()), &sim);
-    }
-    t
+/// One Figure 10 cell (one config, one workload) as a run of its own,
+/// `fig10/<config>/<kind>`, valued in KB/s.
+pub fn fig10_plan(config: Config, kind: IoKind, scale: RunScale) -> RunPlan<f64> {
+    RunPlan::new(
+        format!("fig10/{}/{}", config.label(), kind.label()),
+        move |sim: &Sim| {
+            let s = sim.clone();
+            sim.run_until(async move {
+                let w = paper_world(&s, config.tuning(), WorldOptions::default())
+                    .await
+                    .expect("world");
+                measure(&w, "iobench.dat", kind, scale).await
+            })
+            .kb_per_sec()
+        },
+    )
 }
 
 /// Runs the full Figure 10 matrix. Expensive (20 simulated runs), so the
 /// cells fan out across the runner's worker threads.
 pub fn fig10_run(scale: RunScale, runner: &Runner) -> Fig10Data {
-    let mut plans = Vec::new();
-    for c in Config::all() {
-        for k in IoKind::all() {
-            plans.push(RunPlan::new(
-                format!("fig10/{}/{}", c.label(), k.label()),
-                move |sim: &Sim| fig10_cell_on(sim, c, k, scale).kb_per_sec(),
-            ));
-        }
-    }
+    let plans = Config::all()
+        .into_iter()
+        .flat_map(|c| IoKind::all().map(|k| fig10_plan(c, k, scale)))
+        .collect();
     let rates = runner.run(plans);
     rates
         .chunks(IoKind::all().len())

@@ -53,7 +53,7 @@ pub const STATS_SCHEMA: &str = "iobench-stats/v8";
 /// Schema tag of the `--timeline` document.
 pub const TIMELINE_SCHEMA: &str = "iobench-timeline/v1";
 /// Schema tag of the `--perf` document.
-pub const PERF_SCHEMA: &str = "iobench-perf/v1";
+pub const PERF_SCHEMA: &str = "iobench-perf/v2";
 
 pub use configs::{paper_ext_world, paper_world, Config, WorldOptions};
 pub use faults::{faults_data, faults_run, FaultCell, PhaseStats};

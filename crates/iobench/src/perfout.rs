@@ -2,22 +2,19 @@
 //!
 //! Consumes the wall-clock phase records collected by `simkit::perfmon`
 //! during a run and turns them into (a) a machine-readable report (schema
-//! `iobench-perf/v1`) naming the top wall-clock sinks, per-worker
-//! utilization, lock waits, and allocation churn per phase, and (b) a
-//! compact summary table for stderr. This is the read-the-report path for
-//! ROADMAP item 1: the fig10-at-`--jobs N` slowdown shows up here as low
-//! worker utilization plus whichever phase or lock eats the difference.
+//! `iobench-perf/v2`) naming the top wall-clock sinks, per-worker
+//! utilization, and allocation churn per phase, and (b) a compact summary
+//! table for stderr.
 //!
 //! Phase taxonomy (recorded by `iobench::runner`):
 //!
-//! - `worker.lifetime` — brackets each worker thread (and the serial
-//!   loop); the denominator for utilization and coverage.
+//! - `worker.lifetime` — brackets each worker's loop; the denominator for
+//!   utilization and coverage.
 //! - `runner.pickup`, `run.setup`, `run.drive`, `run.capture` — the
 //!   top-level, non-overlapping stages inside a lifetime; their sum over
 //!   all workers is the numerator of `coverage`.
 //! - `world.build` — nested inside `run.drive` (reported, but excluded
 //!   from coverage so nothing is counted twice).
-//! - `lock.queue` / `lock.outcome` — contended-lock waits.
 //! - `runner.fanout_wait` / `runner.emit` — main-thread phases, reported
 //!   separately (they overlap worker lifetimes by design).
 
@@ -33,7 +30,7 @@ use crate::PERF_SCHEMA;
 
 /// Top-level phases whose per-worker sum defines attribution coverage.
 /// Everything else is either the container (`worker.lifetime`), nested
-/// (`world.build`), overlapping main-thread work, or a lock wait.
+/// (`world.build`), or overlapping main-thread work.
 const TOP_PHASES: [&str; 4] = ["runner.pickup", "run.setup", "run.drive", "run.capture"];
 
 /// Aggregated view of one phase name across the whole run.
@@ -74,13 +71,11 @@ pub struct HostProfile {
     pub runs: Vec<(String, u64)>,
     /// Fraction of summed worker lifetimes attributed to [`TOP_PHASES`].
     pub coverage: f64,
-    /// Records dropped on full per-thread buffers (0 = complete profile).
-    pub dropped: u64,
 }
 
 impl HostProfile {
     /// Builds the profile from drained perfmon records.
-    pub fn build(records: &[PhaseRecord], dropped: u64) -> HostProfile {
+    pub fn build(records: &[PhaseRecord]) -> HostProfile {
         let mut phases: BTreeMap<&'static str, PhaseAgg> = BTreeMap::new();
         let mut runs: BTreeMap<String, u64> = BTreeMap::new();
         // worker → (lifetime, busy, pickup)
@@ -136,7 +131,6 @@ impl HostProfile {
             } else {
                 attributed as f64 / measured as f64
             },
-            dropped,
         }
     }
 
@@ -156,7 +150,7 @@ impl HostProfile {
         let mut out = document_head(PERF_SCHEMA, experiment);
         let _ = write!(out, ",\"jobs\":{jobs},\"coverage\":");
         json::f64(&mut out, self.coverage);
-        let _ = write!(out, ",\"dropped_records\":{},\"workers\":[", self.dropped);
+        out.push_str(",\"workers\":[");
         for w in &self.workers {
             json::sep(&mut out);
             let _ = write!(
@@ -195,10 +189,8 @@ impl HostProfile {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "host profile: {experiment} --jobs {jobs} \
-             (coverage {:.1}%, {} dropped records)",
-            self.coverage * 100.0,
-            self.dropped
+            "host profile: {experiment} --jobs {jobs} (coverage {:.1}%)",
+            self.coverage * 100.0
         );
         let _ = writeln!(
             out,
@@ -316,7 +308,7 @@ mod tests {
             rec("runner.emit", MAIN_THREAD, 100, 110),
         ];
         records[3].label = Some("fig10/A/FSR".into());
-        let p = HostProfile::build(&records, 0);
+        let p = HostProfile::build(&records);
         assert_eq!(p.workers.len(), 1);
         let w = &p.workers[0];
         assert_eq!(w.lifetime_ns, 100);
@@ -341,7 +333,7 @@ mod tests {
 
     #[test]
     fn empty_profile_is_well_formed() {
-        let p = HostProfile::build(&[], 0);
+        let p = HostProfile::build(&[]);
         assert_eq!(p.coverage, 0.0);
         let json = p.to_json("none", 1);
         assert!(json.contains("\"workers\":[]"));
@@ -375,6 +367,5 @@ mod tests {
         assert!(is_top_phase("runner.pickup"));
         assert!(!is_top_phase("worker.lifetime"));
         assert!(!is_top_phase("world.build"));
-        assert!(!is_top_phase("lock.queue"));
     }
 }

@@ -1,59 +1,34 @@
 //! Parallel run fan-out for experiments.
 //!
 //! Each experiment describes its simulated runs as a list of [`RunPlan`]s —
-//! independent closures that build and drive a fresh [`Sim`] — and hands
-//! them to a [`Runner`], which executes them across worker threads
+//! independent closures that drive a fresh [`Sim`] — and hands them to a
+//! [`Runner`], which executes them across worker threads
 //! (`iobench --jobs N`). A `Sim` is `Rc`/`RefCell`-based and `!Send`, so
-//! each run is constructed *and* executed entirely on one worker thread;
-//! only the run's plain-data outcome (the experiment's value, the
-//! serialized metrics snapshot, the drained spans, the sampled timeline)
-//! crosses back.
+//! each run is built, driven and captured by `execute` on one worker
+//! thread; only the run's plain-data outcome (the experiment's value and
+//! its [`RunCapture`]) crosses back.
 //!
 //! Determinism contract: every run is a pure function of virtual time, and
-//! outcomes are re-emitted to the [`StatsSink`] in plan order on the
-//! calling thread — so stdout, `--stats-json`, `--trace`, and `--timeline`
-//! are byte-identical for any `--jobs` value (see DESIGN.md "Wall-clock
-//! performance").
+//! outcomes are put back in plan order on the calling thread before they
+//! reach the caller and the [`StatsSink`] — so stdout, `--stats-json`,
+//! `--trace`, and `--timeline` are byte-identical for any `--jobs` value
+//! (see DESIGN.md "Wall-clock performance").
 //!
-//! The runner is also the primary subject of the wall-clock profiler
-//! (`simkit::perfmon`, behind `iobench --perf`): every stage of a run's
-//! life is a named phase — `worker.lifetime` brackets each worker thread
-//! (and the serial loop), `runner.pickup` the work-stealing claim,
-//! `run.setup`/`run.drive`/`run.capture` the run itself (drive is labeled
-//! with the run id), `runner.fanout_wait` the main thread's join, and
-//! `runner.emit` the plan-order re-emit. Contended acquisitions of the
-//! queue and outcome slots surface as `lock.queue`/`lock.outcome` records,
-//! so cross-thread blocking is measured rather than guessed at. None of
-//! this touches virtual time: profiled runs produce byte-identical
-//! virtual-time outputs.
+//! Under `iobench --perf` every stage of a run's life is a named
+//! `simkit::perfmon` phase: `worker.lifetime` brackets each worker's loop,
+//! `runner.pickup` each claim from the queue, `run.setup`/`run.drive`/
+//! `run.capture` the run itself (drive is labeled with the run id),
+//! `runner.fanout_wait` the calling thread's wait for spawned workers, and
+//! `runner.emit` the plan-order hand-back. None of this touches virtual
+//! time: profiled runs produce byte-identical virtual-time outputs.
 
-use simkit::perfmon::{self, Series};
-use simkit::{Sim, SimDuration, Span};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use simkit::perfmon;
+use simkit::Sim;
+use std::iter::Enumerate;
 use std::sync::Mutex;
+use std::vec;
 
-use crate::experiments::StatsSink;
-
-/// What a worker captures from a run, derived from the sink once up front
-/// so workers never touch the (non-`Sync`) sink itself.
-#[derive(Clone, Copy)]
-struct RunSpec {
-    tracing: bool,
-    capture: bool,
-    /// Telemetry sampling interval (the sink's), when sampling.
-    sample_every: Option<SimDuration>,
-}
-
-/// A finished run parked in its plan-order slot until the scope joins.
-type DoneSlot<T> = Mutex<Option<(String, RunOutcome<T>)>>;
-
-/// Everything that leaves a worker thread for one run.
-struct RunOutcome<T> {
-    value: T,
-    stats_json: Option<String>,
-    spans: Vec<Span>,
-    timeline: Vec<Series>,
-}
+use crate::experiments::{RunCapture, RunSpec, StatsSink};
 
 /// One independent simulated run: an id (`experiment/run` path style, e.g.
 /// `fig10/A/FSR`) plus a closure that drives a fresh sim to the
@@ -73,15 +48,23 @@ impl<T> RunPlan<T> {
     }
 }
 
-/// Builds the run's sim, drives the plan, and packages what must cross
-/// back to the calling thread. Runs entirely on one thread.
-fn execute<T>(spec: RunSpec, plan: RunPlan<T>) -> (String, RunOutcome<T>) {
+/// The plans not yet claimed, with their plan-order indices.
+type Queue<T> = Mutex<Enumerate<vec::IntoIter<RunPlan<T>>>>;
+
+/// A run's value and, when a sink is attached, its capture.
+type Outcome<T> = (T, Option<RunCapture>);
+
+/// Builds the run's sim armed as `spec` asks, drives the plan, and, when
+/// there is a spec (a sink), captures what the sink keeps. The one place
+/// a run's `Sim` is built; runs entirely on one thread.
+fn execute<T>(spec: Option<RunSpec>, plan: RunPlan<T>) -> Outcome<T> {
     let setup = perfmon::phase("run.setup");
     let sim = Sim::new();
-    if spec.tracing {
+    let arm = spec.unwrap_or_default();
+    if arm.tracing {
         sim.tracer().set_enabled(true);
     }
-    if let Some(every) = spec.sample_every {
+    if let Some(every) = arm.sample_every {
         sim.telemetry()
             .start(&sim, every, StatsSink::MAX_SAMPLES_PER_RUN);
     }
@@ -91,30 +74,38 @@ fn execute<T>(spec: RunSpec, plan: RunPlan<T>) -> (String, RunOutcome<T>) {
         (plan.body)(&sim)
     };
     let _capture = perfmon::phase("run.capture");
-    let stats_json = spec.capture.then(|| sim.stats().to_json());
-    let spans = if spec.tracing {
-        sim.tracer().take_spans()
-    } else {
-        Vec::new()
-    };
-    let timeline = if spec.sample_every.is_some() {
-        sim.telemetry().take_series()
-    } else {
-        Vec::new()
-    };
-    (
-        plan.id,
-        RunOutcome {
-            value,
-            stats_json,
-            spans,
-            timeline,
-        },
-    )
+    // A disarmed tracer or sampler has nothing to drain.
+    let capture = spec.map(|_| RunCapture {
+        stats: sim.stats().to_json(),
+        spans: sim.tracer().take_spans(),
+        series: sim.telemetry().take_series(),
+        id: plan.id,
+    });
+    (value, capture)
 }
 
-/// Executes [`RunPlan`]s across up to `jobs` OS threads, then re-emits
-/// outcomes (sink pushes, return order) in deterministic plan order.
+/// The worker loop: claims plans off the shared queue until it is empty,
+/// executing each, and returns the outcomes with their plan indices.
+fn work<T>(worker: u32, spec: Option<RunSpec>, queue: &Queue<T>) -> Vec<(usize, Outcome<T>)> {
+    perfmon::set_worker(worker);
+    let _lifetime = perfmon::phase("worker.lifetime");
+    let mut done = Vec::new();
+    loop {
+        let pickup = perfmon::phase("runner.pickup");
+        let Some((i, plan)) = queue.lock().expect("run queue poisoned").next() else {
+            // Finding the queue empty claims nothing: no pickup to record.
+            std::mem::forget(pickup);
+            break;
+        };
+        drop(pickup);
+        done.push((i, execute(spec, plan)));
+    }
+    done
+}
+
+/// Executes [`RunPlan`]s across up to `jobs` OS threads, then hands the
+/// outcomes (sink captures, return values) back in deterministic plan
+/// order.
 pub struct Runner<'a> {
     jobs: usize,
     sink: Option<&'a StatsSink>,
@@ -131,100 +122,47 @@ impl<'a> Runner<'a> {
         Runner { jobs, sink }
     }
 
-    /// A single-threaded runner: behaves exactly like the pre-parallel
-    /// harness (runs execute in plan order on the calling thread).
+    /// A single-threaded runner: runs execute in plan order on the
+    /// calling thread.
     pub fn serial(sink: Option<&'a StatsSink>) -> Runner<'a> {
         Runner::new(1, sink)
     }
 
-    /// The worker-thread budget.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The attached sink, if any.
-    pub fn sink(&self) -> Option<&'a StatsSink> {
-        self.sink
-    }
-
     /// Executes the plans — concurrently when this runner has more than
-    /// one job — and returns their values in plan order. Metrics
-    /// snapshots, spans, and timelines reach the sink in plan order
-    /// regardless of which worker finished first.
+    /// one job — and returns their values in plan order. Captures reach
+    /// the sink in plan order regardless of which worker finished first.
+    /// A panicking plan panics the caller, with the plan's own payload.
     pub fn run<T: Send>(&self, plans: Vec<RunPlan<T>>) -> Vec<T> {
-        let spec = RunSpec {
-            tracing: self.sink.is_some_and(|s| s.tracing()),
-            capture: self.sink.is_some(),
-            sample_every: self.sink.and_then(|s| s.sample_every()),
-        };
-        let n = plans.len();
-        let workers = self.jobs.min(n);
-        let outcomes: Vec<(String, RunOutcome<T>)> = if workers <= 1 {
-            // The serial loop is "worker 0" in the host profile so serial
-            // and parallel reports share one shape.
-            perfmon::set_worker(0);
-            let lifetime = perfmon::phase("worker.lifetime");
-            let out: Vec<_> = plans.into_iter().map(|p| execute(spec, p)).collect();
-            drop(lifetime);
+        let spec = self.sink.map(StatsSink::spec);
+        let workers = self.jobs.min(plans.len());
+        let queue = Mutex::new(plans.into_iter().enumerate());
+        let mut done = if workers <= 1 {
+            // One worker suffices: the loop runs inline, as worker 0, so
+            // serial and parallel host profiles share one shape.
+            let done = work(0, spec, &queue);
             perfmon::set_worker(perfmon::MAIN_THREAD);
-            out
+            done
         } else {
-            // Work-stealing by atomic index: each worker claims the next
-            // unclaimed plan, runs it to completion, and parks the outcome
-            // in its slot. `thread::scope` joins (and propagates panics)
-            // before we read the slots back in order.
-            let queue: Vec<Mutex<Option<RunPlan<T>>>> =
-                plans.into_iter().map(|p| Mutex::new(Some(p))).collect();
-            let done: Vec<DoneSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
             let _wait = perfmon::phase("runner.fanout_wait");
             std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let (queue, done, next) = (&queue, &done, &next);
-                    scope.spawn(move || {
-                        perfmon::set_worker(w as u32);
-                        {
-                            let _lifetime = perfmon::phase("worker.lifetime");
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                let plan = {
-                                    let _pickup = perfmon::phase("runner.pickup");
-                                    perfmon::timed_lock(&queue[i], "lock.queue")
-                                        .take()
-                                        .expect("plan claimed twice")
-                                };
-                                let outcome = execute(spec, plan);
-                                *perfmon::timed_lock(&done[i], "lock.outcome") = Some(outcome);
-                            }
-                        }
-                        // Flush before the closure returns: `thread::scope`
-                        // unblocks when the closure completes, but TLS
-                        // destructors (the flush-on-exit backstop) run
-                        // afterwards — a `take_records` right after the
-                        // scope would race them and miss this worker.
-                        perfmon::flush_thread();
-                    });
-                }
-            });
-            done.into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("worker poisoned its outcome slot")
-                        .expect("worker finished without an outcome")
-                })
-                .collect()
+                let queue = &queue;
+                let handles: Vec<_> = (0..workers as u32)
+                    .map(|w| scope.spawn(move || work(w, spec, queue)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect::<Vec<_>>()
+            })
         };
+        done.sort_unstable_by_key(|&(i, _)| i);
         let _emit = perfmon::phase("runner.emit");
-        outcomes
-            .into_iter()
-            .map(|(id, out)| {
-                if let Some(sink) = self.sink {
-                    sink.push_outcome(&id, out.stats_json, out.spans, out.timeline);
+        done.into_iter()
+            .map(|(_, (value, capture))| {
+                if let (Some(sink), Some(capture)) = (self.sink, capture) {
+                    sink.push(capture);
                 }
-                out.value
+                value
             })
             .collect()
     }
@@ -237,6 +175,14 @@ mod tests {
     fn plans(n: usize) -> Vec<RunPlan<usize>> {
         (0..n)
             .map(|i| RunPlan::new(format!("test/{i}"), move |_sim| i * 10))
+            .collect()
+    }
+
+    /// `(id, stats)` of every captured run, in capture order.
+    fn captured(sink: &StatsSink) -> Vec<(String, String)> {
+        sink.runs()
+            .iter()
+            .map(|r| (r.id.clone(), r.stats.clone()))
             .collect()
     }
 
@@ -258,12 +204,11 @@ mod tests {
         Runner::serial(Some(&serial)).run(plans(6));
         let parallel = StatsSink::new();
         Runner::new(3, Some(&parallel)).run(plans(6));
-        assert_eq!(serial.runs(), parallel.runs());
+        assert_eq!(captured(&serial), captured(&parallel));
         assert_eq!(
-            serial
-                .runs()
-                .iter()
-                .map(|(id, _)| id.clone())
+            captured(&serial)
+                .into_iter()
+                .map(|(id, _)| id)
                 .collect::<Vec<_>>(),
             (0..6).map(|i| format!("test/{i}")).collect::<Vec<_>>()
         );
@@ -273,6 +218,30 @@ mod tests {
     fn more_jobs_than_plans_is_fine() {
         let out = Runner::new(16, None).run(plans(2));
         assert_eq!(out, vec![0, 10]);
+    }
+
+    /// Five plans, the third of which panics.
+    fn one_panics() -> Vec<RunPlan<usize>> {
+        (0..5)
+            .map(|i| {
+                RunPlan::new(format!("test/{i}"), move |_sim| {
+                    assert_ne!(i, 2, "plan 2 failed");
+                    i
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "plan 2 failed")]
+    fn serial_panic_reaches_the_caller() {
+        Runner::serial(None).run(one_panics());
+    }
+
+    #[test]
+    #[should_panic(expected = "plan 2 failed")]
+    fn parallel_panic_crosses_the_join() {
+        Runner::new(4, None).run(one_panics());
     }
 
     #[test]

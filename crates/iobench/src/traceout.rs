@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 
 use simkit::{json, Span, SpanId};
 
+use crate::experiments::RunCapture;
 use crate::report::Table;
 
 /// Nanoseconds rendered as microseconds with three decimals (the trace
@@ -41,8 +42,8 @@ fn root_of(spans: &[Span], span: &Span) -> SpanId {
     cur
 }
 
-/// Serializes `(run id, spans)` captures as one Chrome trace-event JSON
-/// document, loadable in `chrome://tracing` or Perfetto.
+/// Serializes captured runs as one Chrome trace-event JSON document,
+/// loadable in `chrome://tracing` or Perfetto.
 ///
 /// Layout: each `(run, stream)` pair becomes one process (`pid`), named
 /// `"<run id> stream <N>"` via process-name metadata; within a process,
@@ -50,26 +51,14 @@ fn root_of(spans: &[Span], span: &Span) -> SpanId {
 /// a request's spans stack below its root the way they nest. Spans still
 /// open when the run ended (e.g. a read-ahead the workload never waited
 /// for) are dropped — a complete event needs both bounds.
-pub fn chrome_trace_json(runs: &[(String, Vec<Span>)]) -> String {
-    chrome_trace_json_with_counters(runs, &[])
-}
-
-/// [`chrome_trace_json`], additionally merging sampled telemetry series
-/// (the `--timeline` capture) into the document as Perfetto counter
-/// tracks: each run whose id appears in `timelines` gets one extra
-/// process (`"<run id> telemetry"`) carrying a `"ph":"C"` counter event
-/// per sampled point, so cache occupancy, queue depth, and stall gauges
-/// plot as graphs directly beneath that run's spans. Emitted only when
-/// both `--trace` and `--timeline` are requested; determinism is
-/// inherited (series are virtual-time pure, pids stay allocation-order).
-pub fn chrome_trace_json_with_counters(
-    runs: &[(String, Vec<Span>)],
-    timelines: &[(String, Vec<simkit::perfmon::Series>)],
-) -> String {
-    let by_id: BTreeMap<&str, &Vec<simkit::perfmon::Series>> = timelines
-        .iter()
-        .map(|(id, series)| (id.as_str(), series))
-        .collect();
+///
+/// A run that also sampled telemetry (`--trace` with `--timeline`) gets
+/// one extra process (`"<run id> telemetry"`) carrying a `"ph":"C"`
+/// counter event per sampled point, so cache occupancy, queue depth, and
+/// stall gauges plot as Perfetto counter tracks directly beneath that
+/// run's spans. Determinism is inherited (series are virtual-time pure,
+/// pids stay allocation-order).
+pub fn chrome_trace_json(runs: &[RunCapture]) -> String {
     // One event per line: each starts with the separator and a newline.
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let process = |out: &mut String, pid: u64, name: &str| {
@@ -82,7 +71,13 @@ pub fn chrome_trace_json_with_counters(
         out.push_str("}}");
     };
     let mut next_pid = 1u64;
-    for (run_id, spans) in runs {
+    for RunCapture {
+        id: run_id,
+        spans,
+        series,
+        ..
+    } in runs
+    {
         // Deterministic pid per stream: ascending stream number.
         let mut pids: BTreeMap<u32, u64> = BTreeMap::new();
         for s in spans {
@@ -115,11 +110,11 @@ pub fn chrome_trace_json_with_counters(
             }
             out.push_str("}}");
         }
-        if let Some(series) = by_id.get(run_id.as_str()) {
+        if !series.is_empty() {
             let pid = next_pid;
             next_pid += 1;
             process(&mut out, pid, &format!("{run_id} telemetry"));
-            for (name, points) in series.iter() {
+            for (name, points) in series {
                 for (t, v) in points {
                     json::sep(&mut out);
                     out.push_str("\n{");
@@ -314,6 +309,7 @@ pub fn timeline_table(spans: &[Span], max_roots: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::perfmon::Series;
     use simkit::{Sim, SimDuration, SpanId};
 
     fn sample_run() -> (Sim, Vec<Span>) {
@@ -338,12 +334,22 @@ mod tests {
         (sim, spans)
     }
 
+    /// One captured run named `id`: its spans, plus `series`.
+    fn capture(id: &str, spans: Vec<Span>, series: Vec<Series>) -> RunCapture {
+        RunCapture {
+            id: id.to_string(),
+            stats: String::new(),
+            spans,
+            series,
+        }
+    }
+
     #[test]
     fn chrome_json_is_deterministic_and_complete() {
         let (_s1, spans1) = sample_run();
         let (_s2, spans2) = sample_run();
-        let a = chrome_trace_json(&[("x/y".to_string(), spans1)]);
-        let b = chrome_trace_json(&[("x/y".to_string(), spans2)]);
+        let a = chrome_trace_json(&[capture("x/y", spans1, Vec::new())]);
+        let b = chrome_trace_json(&[capture("x/y", spans2, Vec::new())]);
         assert_eq!(a, b, "identical runs export identical traces");
         assert!(a.contains("\"ph\":\"X\""));
         assert!(a.contains("\"name\":\"disk.service\""));
@@ -356,22 +362,19 @@ mod tests {
     #[test]
     fn counter_tracks_merge_behind_span_pids() {
         let (_sim, spans) = sample_run();
-        let timelines = vec![(
-            "x/y".to_string(),
-            vec![(
-                "disk.queue_depth".to_string(),
-                vec![(0u64, 1.0), (2_000, 0.0)],
-            )],
+        let series = vec![(
+            "disk.queue_depth".to_string(),
+            vec![(0u64, 1.0), (2_000, 0.0)],
         )];
-        let merged = chrome_trace_json_with_counters(&[("x/y".to_string(), spans)], &timelines);
+        let merged = chrome_trace_json(&[capture("x/y", spans, series)]);
         assert_eq!(merged.matches("\"ph\":\"C\"").count(), 2);
         assert!(merged.contains("\"name\":\"x/y telemetry\""));
         assert!(merged.contains("\"args\":{\"value\":1}"));
         // Telemetry pid comes after the run's stream pid.
         assert!(merged.contains("\"ph\":\"X\""));
-        // A run with no matching timeline gets no counter process.
+        // A run that sampled nothing gets no counter process.
         let (_sim2, spans2) = sample_run();
-        let plain = chrome_trace_json_with_counters(&[("other".to_string(), spans2)], &timelines);
+        let plain = chrome_trace_json(&[capture("other", spans2, Vec::new())]);
         assert_eq!(plain.matches("\"ph\":\"C\"").count(), 0);
         assert_eq!(plain.matches("\"ph\":\"M\"").count(), 1);
     }

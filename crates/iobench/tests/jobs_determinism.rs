@@ -23,13 +23,13 @@ fn tiny() -> RunScale {
 /// Renders fig10/fig11 with a tracing sink at the given jobs count and
 /// returns every output surface the CLI can emit.
 fn fig10_outputs(jobs: usize) -> (String, String, String, String) {
-    let sink = StatsSink::with_tracing();
+    let sink = StatsSink::with_capture(true, None);
     let runner = Runner::new(jobs, Some(&sink));
     let data = fig10_run(tiny(), &runner);
     let t10 = fig10_table(&data);
     let t11 = fig11_table(&data);
     let stats = sink.to_json("fig10");
-    let trace = traceout::chrome_trace_json(&sink.into_traces());
+    let trace = traceout::chrome_trace_json(&sink.runs());
     (t10, t11, stats, trace)
 }
 
@@ -73,14 +73,14 @@ fn tiny_sweep() -> VolumeSweep {
 /// Renders the volume experiment with a tracing sink at the given jobs
 /// count and returns every output surface the CLI can emit.
 fn volume_outputs(jobs: usize) -> (String, String, String, String) {
-    let sink = StatsSink::with_tracing();
+    let sink = StatsSink::with_capture(true, None);
     let runner = Runner::new(jobs, Some(&sink));
     let sweep = tiny_sweep();
     let data = volume_data(&sweep, tiny(), &runner);
     let t = volume_table(&sweep, &data);
     let tx = volume_ext_table(&sweep, &data);
     let stats = sink.to_json("volume");
-    let trace = traceout::chrome_trace_json(&sink.into_traces());
+    let trace = traceout::chrome_trace_json(&sink.runs());
     (t, tx, stats, trace)
 }
 

@@ -6,7 +6,7 @@
 //! from the pageout daemon, and the drive's track buffer is exercised by
 //! sequential reads.
 
-use iobench::experiments::{fig10_cell, free_behind_run, RunScale, StatsSink};
+use iobench::experiments::{fig10_plan, free_behind_run, RunScale, StatsSink};
 use iobench::runner::Runner;
 use iobench::{Config, IoKind};
 
@@ -30,8 +30,9 @@ fn counter(json: &str, name: &str) -> u64 {
 /// measured phase — the whole simulated run).
 fn cell_snapshot(config: Config, kind: IoKind) -> String {
     let sink = StatsSink::new();
-    fig10_cell(config, kind, RunScale::quick(), Some(&sink));
-    sink.runs().remove(0).1
+    Runner::serial(Some(&sink)).run(vec![fig10_plan(config, kind, RunScale::quick())]);
+    let stats = sink.runs()[0].stats.clone();
+    stats
 }
 
 /// Two identical runs must serialize to byte-identical documents: the
@@ -41,7 +42,11 @@ fn cell_snapshot(config: Config, kind: IoKind) -> String {
 fn identical_runs_export_identical_json() {
     let a = || {
         let sink = StatsSink::new();
-        fig10_cell(Config::A, IoKind::SeqRead, RunScale::quick(), Some(&sink));
+        Runner::serial(Some(&sink)).run(vec![fig10_plan(
+            Config::A,
+            IoKind::SeqRead,
+            RunScale::quick(),
+        )]);
         sink.to_json("fig10")
     };
     let first = a();
@@ -91,10 +96,11 @@ fn free_behind_frees_more_pages_than_the_daemon() {
     let sink = StatsSink::new();
     free_behind_run(RunScale::quick(), &Runner::serial(Some(&sink)));
     let runs = sink.runs();
-    let (_, on) = runs
+    let on = &runs
         .iter()
-        .find(|(id, _)| id == "free-behind/on")
-        .expect("free-behind/on run captured");
+        .find(|r| r.id == "free-behind/on")
+        .expect("free-behind/on run captured")
+        .stats;
     let freed_by_reader = counter(on, "ufs.free_behind_pages");
     let freed_by_daemon = counter(on, "pageout.freed");
     assert!(

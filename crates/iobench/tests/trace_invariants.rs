@@ -8,18 +8,23 @@
 
 use std::collections::BTreeMap;
 
-use iobench::experiments::{fig10_cell, RunScale, StatsSink};
+use iobench::experiments::{fig10_plan, RunCapture, RunScale, StatsSink};
 use iobench::traceout::chrome_trace_json;
-use iobench::{Config, IoKind};
+use iobench::{Config, IoKind, Runner};
 use simkit::Span;
+
+/// One Figure 10 cell, run alone under a sink that traces or not.
+fn cell(config: Config, kind: IoKind, tracing: bool) -> RunCapture {
+    let sink = StatsSink::with_capture(tracing, None);
+    Runner::serial(Some(&sink)).run(vec![fig10_plan(config, kind, RunScale::quick())]);
+    let run = sink.runs()[0].clone();
+    run
+}
 
 /// One traced Figure 10 cell: `(registry JSON, spans)`.
 fn traced_cell(config: Config, kind: IoKind) -> (String, Vec<Span>) {
-    let sink = StatsSink::with_tracing();
-    fig10_cell(config, kind, RunScale::quick(), Some(&sink));
-    let stats = sink.runs().remove(0).1;
-    let spans = sink.traces().remove(0).1;
-    (stats, spans)
+    let run = cell(config, kind, true);
+    (run.stats, run.spans)
 }
 
 fn counter(json: &str, name: &str) -> u64 {
@@ -86,11 +91,7 @@ fn disk_service_spans_sum_to_stream_busy_time() {
 /// two identical runs must serialize byte-identically.
 #[test]
 fn identical_runs_export_identical_traces() {
-    let run = || {
-        let sink = StatsSink::with_tracing();
-        fig10_cell(Config::B, IoKind::SeqRead, RunScale::quick(), Some(&sink));
-        chrome_trace_json(&sink.traces())
-    };
+    let run = || chrome_trace_json(&[cell(Config::B, IoKind::SeqRead, true)]);
     let first = run();
     assert!(first.contains("\"ph\":\"X\""));
     assert_eq!(first, run(), "trace JSON must be deterministic");
@@ -101,19 +102,6 @@ fn identical_runs_export_identical_traces() {
 /// is identical either way.)
 #[test]
 fn enabling_the_tracer_does_not_move_the_stats() {
-    let stats = |tracing: bool| {
-        let sink = if tracing {
-            StatsSink::with_tracing()
-        } else {
-            StatsSink::new()
-        };
-        fig10_cell(
-            Config::B,
-            IoKind::RandUpdate,
-            RunScale::quick(),
-            Some(&sink),
-        );
-        sink.runs().remove(0).1
-    };
+    let stats = |tracing: bool| cell(Config::B, IoKind::RandUpdate, tracing).stats;
     assert_eq!(stats(false), stats(true), "tracer perturbed the metrics");
 }

@@ -2,17 +2,14 @@
 //!
 //! Everything else in `simkit` explains *virtual* nanoseconds; this module
 //! explains *wall-clock* ones — where the host process actually spends its
-//! time when it executes a simulation, which is the question behind "why
-//! does `--jobs N` run slower than `--jobs 1`". Two independent halves:
+//! time when it executes a simulation. Two independent halves:
 //!
 //! 1. **Wall-clock phase profiler** (process-global, off by default):
-//!    [`phase`] opens a named wall-clock span on the current thread;
-//!    records land in a per-thread buffer (no locking on the record path)
-//!    and are merged post-run by [`take_records`]. Each record also carries
-//!    the thread's allocation delta over the span (see [`CountingAlloc`])
-//!    so allocation churn can be attributed to phases. [`timed_lock`] is a
-//!    contention probe: it times a `Mutex` acquisition and records the
-//!    wait, but only when the lock was actually contended.
+//!    [`phase`] opens a named wall-clock span on the current thread; when
+//!    it closes, its record is appended to one process-wide log, which
+//!    [`take_records`] drains. Each record also carries the thread's
+//!    allocation delta over the span (see [`CountingAlloc`]) so
+//!    allocation churn can be attributed to phases.
 //!
 //! 2. **Virtual-time telemetry sampler** ([`Telemetry`], per-[`Sim`]):
 //!    a simulated task that periodically snapshots every numeric metric in
@@ -29,8 +26,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::executor::Sim;
@@ -45,22 +42,20 @@ use crate::time::SimDuration;
 /// process's main/orchestrating thread).
 pub const MAIN_THREAD: u32 = u32::MAX;
 
-/// Cap on records buffered per thread; once full, further records are
-/// counted in [`PhaseRecord`]-less `dropped` tallies instead of growing
-/// without bound (a ring that drops the newest — by the time a run
-/// overflows it, the report is already saturated with detail).
-const THREAD_BUF_CAP: usize = 1 << 16;
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-/// Total records dropped on full thread buffers, surfaced in reports so a
-/// truncated profile never masquerades as a complete one.
-static DROPPED: AtomicU64 = AtomicU64::new(0);
+/// Every closed phase, from every thread, in closing order. A run closes
+/// a handful of phases, so one lock per record is nowhere near contended.
+static LOG: Mutex<Vec<PhaseRecord>> = Mutex::new(Vec::new());
+
+thread_local! {
+    static WORKER: Cell<u32> = const { Cell::new(MAIN_THREAD) };
+}
 
 /// One closed wall-clock phase span recorded on some thread.
 #[derive(Clone, Debug)]
 pub struct PhaseRecord {
-    /// Phase name (`"run.drive"`, `"runner.pickup"`, `"lock.outcome"`...).
+    /// Phase name (`"run.drive"`, `"runner.pickup"`, ...).
     pub name: &'static str,
     /// Optional free-form label (e.g. the run id a `run.drive` executed).
     pub label: Option<Box<str>>,
@@ -80,40 +75,6 @@ impl PhaseRecord {
     pub fn duration_ns(&self) -> u64 {
         self.end_ns - self.start_ns
     }
-}
-
-struct ThreadBuf {
-    worker: Cell<u32>,
-    records: RefCell<Vec<PhaseRecord>>,
-}
-
-impl ThreadBuf {
-    const fn new() -> ThreadBuf {
-        ThreadBuf {
-            worker: Cell::new(MAIN_THREAD),
-            records: RefCell::new(Vec::new()),
-        }
-    }
-}
-
-/// Flushes the thread's buffered records into the global collector when
-/// the thread exits, so worker-thread profiles survive the join.
-struct FlushOnExit;
-
-impl Drop for FlushOnExit {
-    fn drop(&mut self) {
-        flush_thread();
-    }
-}
-
-thread_local! {
-    static BUF: ThreadBuf = const { ThreadBuf::new() };
-    static FLUSH: RefCell<Option<FlushOnExit>> = const { RefCell::new(None) };
-}
-
-fn collector() -> &'static Mutex<Vec<PhaseRecord>> {
-    static COLLECTOR: OnceLock<Mutex<Vec<PhaseRecord>>> = OnceLock::new();
-    COLLECTOR.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// Arms (or disarms) the wall-clock profiler for the whole process. The
@@ -143,7 +104,7 @@ fn now_ns() -> u64 {
 /// Tags the current thread as worker `k` for subsequent records. Threads
 /// that never call this report as [`MAIN_THREAD`].
 pub fn set_worker(k: u32) {
-    BUF.with(|b| b.worker.set(k));
+    WORKER.with(|w| w.set(k));
 }
 
 /// An open wall-clock phase on the current thread; recording happens on
@@ -205,96 +166,24 @@ impl Drop for PhaseGuard {
         let rec = PhaseRecord {
             name: self.name,
             label: self.label.take(),
-            worker: 0, // stamped below with the thread's tag
+            worker: WORKER.try_with(Cell::get).unwrap_or(MAIN_THREAD),
             start_ns: self.start_ns,
             end_ns,
             allocs: allocs1.saturating_sub(self.allocs0),
             alloc_bytes: bytes1.saturating_sub(self.bytes0),
         };
-        push_record(rec);
+        // No panic here: a guard may drop during a panic's unwind. A
+        // poisoned log still holds well-formed records.
+        LOG.lock().unwrap_or_else(|e| e.into_inner()).push(rec);
     }
 }
 
-fn push_record(mut rec: PhaseRecord) {
-    // `try_with`: never panic if the thread is already tearing down.
-    let _ = BUF.try_with(|b| {
-        rec.worker = b.worker.get();
-        let mut records = b.records.borrow_mut();
-        if records.len() >= THREAD_BUF_CAP {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if records.is_empty() {
-            // First record on this thread: arm the exit flush. Only when
-            // not already armed — overwriting would drop the old armer,
-            // re-entering `flush_thread` while `records` is borrowed.
-            let _ = FLUSH.try_with(|f| {
-                let mut slot = f.borrow_mut();
-                if slot.is_none() {
-                    *slot = Some(FlushOnExit);
-                }
-            });
-        }
-        records.push(rec);
-    });
-}
-
-/// Records an already-measured interval (used by [`timed_lock`] and by
-/// callers that discover a phase only after the fact).
-pub fn record(name: &'static str, start_ns: u64, end_ns: u64) {
-    if !enabled() {
-        return;
-    }
-    push_record(PhaseRecord {
-        name,
-        label: None,
-        worker: 0,
-        start_ns,
-        end_ns,
-        allocs: 0,
-        alloc_bytes: 0,
-    });
-}
-
-/// Pushes the current thread's buffered records into the global collector.
-/// Worker threads flush automatically on exit; the main thread should call
-/// this (via [`take_records`]) before building a report.
-pub fn flush_thread() {
-    let drained: Vec<PhaseRecord> = BUF
-        .try_with(|b| std::mem::take(&mut *b.records.borrow_mut()))
-        .unwrap_or_default();
-    if drained.is_empty() {
-        return;
-    }
-    collector()
-        .lock()
-        .expect("perfmon collector poisoned")
-        .extend(drained);
-}
-
-/// Flushes the calling thread and drains every record collected so far,
-/// sorted by `(worker, start)` so reports are stable regardless of which
-/// thread flushed first. Also returns the number of records dropped on
-/// full buffers (0 for a trustworthy profile).
-pub fn take_records() -> (Vec<PhaseRecord>, u64) {
-    flush_thread();
-    let mut records = std::mem::take(&mut *collector().lock().expect("perfmon collector poisoned"));
+/// Drains every record logged so far, sorted by `(worker, start)` so
+/// reports are stable regardless of which thread closed first.
+pub fn take_records() -> Vec<PhaseRecord> {
+    let mut records = std::mem::take(&mut *LOG.lock().unwrap_or_else(|e| e.into_inner()));
     records.sort_by_key(|r| (r.worker, r.start_ns, r.end_ns));
-    (records, DROPPED.swap(0, Ordering::Relaxed))
-}
-
-/// Contention probe: acquires `m`, and if the lock was contended (the
-/// uncontended `try_lock` failed), records the wait as a `name` phase
-/// record. The uncontended fast path adds one `try_lock` and, while the
-/// profiler is disabled, nothing else.
-pub fn timed_lock<'a, T>(m: &'a Mutex<T>, name: &'static str) -> MutexGuard<'a, T> {
-    if let Ok(g) = m.try_lock() {
-        return g;
-    }
-    let start = now_ns();
-    let g = m.lock().expect("timed_lock: mutex poisoned");
-    record(name, start, now_ns());
-    g
+    records
 }
 
 // ---------------------------------------------------------------------------
@@ -521,8 +410,9 @@ impl Default for Telemetry {
 mod tests {
     use super::*;
     use crate::{Sim, SimDuration};
+    use std::sync::MutexGuard;
 
-    /// The enable flag and the record collector are process-global, and
+    /// The enable flag and the record log are process-global, and
     /// the harness runs tests on parallel threads: tests that set one or
     /// drain the other must not interleave. A panic in one must not fail
     /// the next, so a poisoned lock is taken anyway (it guards no data).
@@ -543,17 +433,11 @@ mod tests {
                 s.spawn(|| {
                     set_worker(3);
                     drop(phase_labeled("test.inner", "run/x"));
-                    // As the runner's workers do: `thread::scope` unblocks
-                    // when the closure completes, but the flush-on-exit
-                    // TLS destructor runs afterwards and would race the
-                    // `take_records` below.
-                    flush_thread();
                 });
             });
         }
-        let (records, dropped) = take_records();
+        let records = take_records();
         set_enabled(false);
-        assert_eq!(dropped, 0);
         let inner = records.iter().find(|r| r.name == "test.inner").unwrap();
         assert_eq!(inner.worker, 3);
         assert_eq!(inner.label.as_deref(), Some("run/x"));
@@ -566,22 +450,11 @@ mod tests {
     fn disabled_profiler_records_nothing() {
         let _serialize = globals();
         set_enabled(false);
-        {
-            let _g = phase("test.ghost");
-            record("test.ghost2", 0, 1);
-        }
-        let (records, _) = take_records();
+        drop(phase("test.ghost"));
         assert!(
-            records.iter().all(|r| !r.name.starts_with("test.ghost")),
+            take_records().iter().all(|r| r.name != "test.ghost"),
             "disabled profiler must not record"
         );
-    }
-
-    #[test]
-    fn timed_lock_returns_guard() {
-        let m = Mutex::new(5u32);
-        *timed_lock(&m, "lock.test") += 1;
-        assert_eq!(*m.lock().unwrap(), 6);
     }
 
     #[test]

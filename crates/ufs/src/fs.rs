@@ -251,7 +251,9 @@ impl Ufs {
                 SECTORS_PER_BLOCK,
             )
             .await;
-        let mut sb = Superblock::decode(&raw).ok_or(FsError::Corrupt)?;
+        let mut sb = Superblock::decode(&raw)
+            .filter(|sb| sb.fits(disk.total_sectors() / SECTORS_PER_BLOCK as u64))
+            .ok_or(FsError::Corrupt)?;
         let mut cgs = Vec::with_capacity(sb.ncg as usize);
         for cgx in 0..sb.ncg {
             let raw = disk

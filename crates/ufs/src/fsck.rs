@@ -166,6 +166,15 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
             .push("superblock: bad magic; restore from backup".to_string());
         return Ok(report);
     };
+    let device_blocks = disk.total_sectors() / SECTORS_PER_BLOCK as u64;
+    if !sb.fits(device_blocks) {
+        report.unfixable.push(format!(
+            "superblock: geometry ({} groups of {} blocks, {} inodes each, {} blocks) \
+             does not fit the {device_blocks}-block device; restore from backup",
+            sb.ncg, sb.blocks_per_cg, sb.inodes_per_cg, sb.total_blocks
+        ));
+        return Ok(report);
+    }
     report.was_clean = sb.clean;
 
     // Group headers. One that does not decode to this file system's

@@ -116,6 +116,20 @@ impl Superblock {
         })
     }
 
+    /// Whether this geometry fits a device of `device_blocks` blocks: at
+    /// least one group; in each, room for the header, the inode table and
+    /// at least one data block; inodes enough that group 0 holds the root;
+    /// and the last group ending inside `total_blocks`, which must itself
+    /// fit on the device. Everything below trusts these, so `mount` and
+    /// `fsck` check them right after decoding.
+    pub fn fits(&self, device_blocks: u64) -> bool {
+        self.ncg >= 1
+            && self.blocks_per_cg > self.cg_meta_blocks()
+            && self.inodes_per_cg > ROOT_INO
+            && self.cg_start(self.ncg) <= self.total_blocks
+            && self.total_blocks <= device_blocks
+    }
+
     /// Blocks the inode table occupies in each cylinder group.
     pub fn inode_blocks_per_cg(&self) -> u32 {
         self.inodes_per_cg.div_ceil(INODES_PER_BLOCK as u32)

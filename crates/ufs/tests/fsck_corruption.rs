@@ -11,7 +11,7 @@ use pagecache::{PageCache, PageCacheParams};
 use simkit::{Cpu, Sim};
 use ufs::layout::{CgHeader, DINODE_SIZE, ROOT_INO, SB_BLOCK, SECTORS_PER_BLOCK};
 use ufs::{build_test_world, fsck, fsck_repair, Dinode, FsckReport, Superblock, Ufs, UfsParams};
-use vfs::{AccessMode, FileSystem, Vnode};
+use vfs::{AccessMode, FileSystem, FsError, Vnode};
 
 async fn read_block(disk: &SharedDevice, pbn: u64) -> Vec<u8> {
     disk.read(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK)
@@ -56,6 +56,12 @@ impl Raw {
         let mut data = read_block(&self.disk, pbn).await;
         f(&mut data);
         write_block(&self.disk, pbn, data).await;
+    }
+
+    async fn edit_sb(&self, f: impl FnOnce(&mut Superblock)) {
+        let mut sb = self.sb.clone();
+        f(&mut sb);
+        write_block(&self.disk, SB_BLOCK, sb.encode()).await;
     }
 
     async fn cg(&self, cgx: u32) -> CgHeader {
@@ -148,6 +154,12 @@ enum Damage {
     BlockBitSet,
     CgFreeBlocks,
     SuperblockCounts,
+    NoGroups,
+    GroupTooSmall,
+    NoDataBlocks,
+    NoRootInode,
+    GroupsPastEnd,
+    PastDevice,
 }
 
 /// Files `x` and `y` (two blocks each), `big` (20 blocks, through its
@@ -189,11 +201,21 @@ async fn damage(raw: &Raw, what: Damage) {
         }
         Damage::CgFreeBlocks => raw.edit_cg(0, |cg| cg.free_blocks -= 2).await,
         Damage::SuperblockCounts => {
-            let mut sb = raw.sb.clone();
-            sb.free_blocks += 1;
-            sb.free_inodes -= 1;
-            write_block(&raw.disk, SB_BLOCK, sb.encode()).await;
+            raw.edit_sb(|sb| {
+                sb.free_blocks += 1;
+                sb.free_inodes -= 1;
+            })
+            .await
         }
+        Damage::NoGroups => raw.edit_sb(|sb| sb.ncg = 0).await,
+        Damage::GroupTooSmall => raw.edit_sb(|sb| sb.blocks_per_cg = 1).await,
+        Damage::NoDataBlocks => {
+            raw.edit_sb(|sb| sb.blocks_per_cg = sb.cg_meta_blocks())
+                .await
+        }
+        Damage::NoRootInode => raw.edit_sb(|sb| sb.inodes_per_cg = 0).await,
+        Damage::GroupsPastEnd => raw.edit_sb(|sb| sb.ncg += 1000).await,
+        Damage::PastDevice => raw.edit_sb(|sb| sb.total_blocks *= 2).await,
     }
 }
 
@@ -290,6 +312,69 @@ fn every_corruption_is_found_then_repaired() {
             "{what:?}: {:?}",
             out.after_use.errors
         );
+    }
+}
+
+/// Each damaged superblock (`damage`'s geometry rows) alone.
+async fn damaged_superblock(s: &Sim, what: Damage) -> SharedDevice {
+    let raw = Raw::new(fixture(s).await).await;
+    damage(&raw, what).await;
+    raw.disk
+}
+
+/// The superblock geometries that do not fit the fixture's device.
+const ABSURD_GEOMETRY: [Damage; 6] = [
+    Damage::NoGroups,
+    Damage::GroupTooSmall,
+    Damage::NoDataBlocks,
+    Damage::NoRootInode,
+    Damage::GroupsPastEnd,
+    Damage::PastDevice,
+];
+
+/// A superblock whose geometry does not fit the device is one `unfixable`
+/// finding, never a walk past the device's end: the check names it, the
+/// repair leaves it alone, and the image is the same afterwards.
+#[test]
+fn absurd_geometry_is_unfixable() {
+    for what in ABSURD_GEOMETRY {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let (check, repair, before, after) = sim.run_until(async move {
+            let disk = damaged_superblock(&s, what).await;
+            let before = read_block(&disk, SB_BLOCK).await;
+            let check = fsck(&*disk).await.unwrap();
+            let repair = fsck_repair(&*disk).await.unwrap();
+            (check, repair, before, read_block(&disk, SB_BLOCK).await)
+        });
+        assert_eq!(check.unfixable.len(), 1, "{what:?}: {check:?}");
+        assert!(
+            check.unfixable[0].contains("does not fit the"),
+            "{what:?}: {check:?}"
+        );
+        assert!(check.errors.is_empty(), "{what:?}: {check:?}");
+        assert_eq!(repair.unfixable, check.unfixable, "{what:?}");
+        assert!(repair.repaired.is_empty(), "{what:?}: {repair:?}");
+        assert_eq!(before, after, "{what:?}: repair wrote the superblock");
+    }
+}
+
+#[test]
+fn mount_refuses_absurd_geometry() {
+    for what in ABSURD_GEOMETRY {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let mounted = sim.run_until(async move {
+            let disk = damaged_superblock(&s, what).await;
+            let cpu = Cpu::new(&s);
+            let cache = PageCache::new(&s, PageCacheParams::small_test());
+            let mut params = UfsParams::test(Tuning::config_a());
+            params.mount_id = 2;
+            Ufs::mount(&s, &cpu, &cache, &disk, params, None)
+                .await
+                .map(drop)
+        });
+        assert_eq!(mounted, Err(FsError::Corrupt), "{what:?}");
     }
 }
 

@@ -41,7 +41,7 @@ cmp "$TMP/s1.json" "$TMP/s4.json"
 cmp "$TMP/t1.json" "$TMP/t4.json"
 cmp "$TMP/l1.json" "$TMP/l4.json"
 grep -q '"schema":"iobench-timeline/v1"' "$TMP/l1.json"
-grep -q '"schema":"iobench-perf/v1"' "$TMP/perf.json"
+grep -q '"schema":"iobench-perf/v2"' "$TMP/perf.json"
 echo "jobs=1 vs jobs=4 (profiled): stdout, stats, trace, and timeline are byte-identical"
 
 # Same contract for the RAID volume experiment (fan-out across spindles

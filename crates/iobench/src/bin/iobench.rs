@@ -8,7 +8,7 @@
 //!         [--readahead fixed|adaptive|off] [--stride <bytes>] \
 //!         [--record-size <bytes>] \
 //!         [--age-ops N] [--utilization F] [--inline-threshold B] \
-//!         [--stats-json <path>] [--trace <path>] [--perf <path>] \
+//!         [--stats-json <path>] [--trace <path>] \
 //!         [--timeline <path>] [--sample-every <N[us|ms|s]>]
 //! ```
 //!
@@ -49,19 +49,15 @@
 //! a stride smaller than the record) exits 2 with usage.
 //! Unrecognized flags are an error.
 //!
-//! `--perf <path>` turns on the host-side wall-clock profiler
-//! (`simkit::perfmon`) and writes a machine-readable profile (schema
-//! `iobench-perf/v2`) naming the top wall-clock sinks, per-worker
-//! utilization, and allocation churn, plus a summary table on stderr.
 //! `--timeline <path>` turns on the virtual-time telemetry sampler and
 //! writes per-run metric time series (schema `iobench-timeline/v1`);
 //! `--sample-every <N[us|ms|s]>` sets the sampling interval (virtual
 //! time; bare numbers are milliseconds; default 10ms) and is only
 //! meaningful alongside `--timeline`. When both `--trace` and
 //! `--timeline` are given, the sampled series are also merged into the
-//! Chrome trace as Perfetto counter tracks. Neither flag perturbs
-//! virtual time: stdout, `--stats-json`, `--trace`, and `--timeline`
-//! stay byte-identical whether or not profiling is enabled.
+//! Chrome trace as Perfetto counter tracks. The sampler only observes:
+//! stdout, `--stats-json` and `--trace` stay byte-identical whether or
+//! not `--timeline` is given.
 
 use diskmodel::FaultPlan;
 use iobench::experiments::{
@@ -70,19 +66,12 @@ use iobench::experiments::{
     write_limit_sweep_run, AgingParams, RunScale, StatsSink,
 };
 use iobench::faults::faults_run;
-use iobench::perfout::{self, HostProfile};
 use iobench::readahead::{readahead_cell_run, readahead_run};
 use iobench::runner::Runner;
 use iobench::traceout;
 use iobench::volume::volume_run;
-use simkit::perfmon;
+use simkit::SimDuration;
 use volmgr::VolumeSpec;
-
-/// Counting allocator so `--perf` can report allocation churn per phase.
-/// Counting is gated on a relaxed atomic and costs nothing until `--perf`
-/// flips it on; the underlying allocator is still `std::alloc::System`.
-#[global_allocator]
-static ALLOC: perfmon::CountingAlloc = perfmon::CountingAlloc;
 
 /// Everything an experiment reads: the parsed flags and the runner.
 struct Ctx<'a> {
@@ -209,7 +198,7 @@ fn usage() -> ! {
          [--readahead fixed|adaptive|off] [--stride <bytes>] \
          [--record-size <bytes>] \
          [--age-ops N] [--utilization F] [--inline-threshold B] \
-         [--stats-json <path>] [--trace <path>] [--perf <path>] \
+         [--stats-json <path>] [--trace <path>] \
          [--timeline <path>] [--sample-every <N[us|ms|s]>]\n\
          volume specs: raid0:<spindles>:<stripe> | raid1:<spindles> | \
          raid5:<spindles>:<stripe>  (e.g. raid0:4:64k, raid1:2, raid5:5:64k)\n\
@@ -224,10 +213,10 @@ fn usage() -> ! {
          aging: --age-ops is a positive churn budget per round, \
          --utilization a target fill in (0, 1), --inline-threshold an \
          extentfs inline-file cutoff in bytes (0..=8192)\n\
-         profiling: --perf writes an iobench-perf/v2 host profile, \
-         --timeline an iobench-timeline/v1 sampled-metrics document; \
-         --sample-every takes a positive integer with optional us/ms/s \
-         suffix (virtual time, default 10ms) and requires --timeline",
+         timeline: --timeline writes an iobench-timeline/v1 \
+         sampled-metrics document; --sample-every takes a positive \
+         integer with optional us/ms/s suffix (virtual time, default \
+         10ms) and requires --timeline",
         experiment_names()
     );
     std::process::exit(2);
@@ -264,11 +253,44 @@ fn take_count_flag(args: &mut Vec<String>, flag: &str) -> Option<usize> {
     Some(n)
 }
 
+/// Parses the strict `--sample-every` grammar: a positive integer with an
+/// optional `us`/`ms`/`s` unit suffix; a bare number means milliseconds
+/// of virtual time. Anything else (zero, signs, fractions, unknown units,
+/// overflow) is an error string for the CLI to report alongside usage.
+fn parse_sample_every(s: &str) -> Result<SimDuration, String> {
+    let (digits, mult) = if let Some(d) = s.strip_suffix("us") {
+        (d, 1_000u64)
+    } else if let Some(d) = s.strip_suffix("ms") {
+        (d, 1_000_000)
+    } else if let Some(d) = s.strip_suffix('s') {
+        (d, 1_000_000_000)
+    } else {
+        (s, 1_000_000)
+    };
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(format!(
+            "invalid --sample-every {s:?}: expected a positive integer with \
+             optional us/ms/s suffix"
+        ));
+    }
+    let n: u64 = digits
+        .parse()
+        .map_err(|_| format!("invalid --sample-every {s:?}: number out of range"))?;
+    if n == 0 {
+        return Err(format!(
+            "invalid --sample-every {s:?}: interval must be > 0"
+        ));
+    }
+    let ns = n
+        .checked_mul(mult)
+        .ok_or_else(|| format!("invalid --sample-every {s:?}: number out of range"))?;
+    Ok(SimDuration::from_nanos(ns))
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let stats_path = take_value_flag(&mut args, "--stats-json");
     let trace_path = take_value_flag(&mut args, "--trace");
-    let perf_path = take_value_flag(&mut args, "--perf");
     let timeline_path = take_value_flag(&mut args, "--timeline");
     let sample_every_arg = take_value_flag(&mut args, "--sample-every");
     if sample_every_arg.is_some() && timeline_path.is_none() {
@@ -279,9 +301,9 @@ fn main() {
     // to 10ms of virtual time.
     let sample_every = timeline_path.as_ref().map(|_| {
         sample_every_arg.as_deref().map_or_else(
-            || simkit::SimDuration::from_millis(10),
+            || SimDuration::from_millis(10),
             |s| {
-                perfout::parse_sample_every(s).unwrap_or_else(|e| {
+                parse_sample_every(s).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage();
                 })
@@ -444,9 +466,6 @@ fn main() {
     } else {
         None
     };
-    if perf_path.is_some() {
-        perfmon::set_enabled(true);
-    }
     let selected: Vec<&Experiment> = EXPERIMENTS
         .iter()
         .filter(|e| what == "all" || e.names.contains(&what))
@@ -506,16 +525,6 @@ fn main() {
             format_args!("{spans} span(s) across {} run(s)", runs.len()),
         );
     }
-    if let Some(path) = &perf_path {
-        let records = perfmon::take_records();
-        let profile = HostProfile::build(&records);
-        eprint!("{}", profile.summary(what, jobs));
-        write_doc(
-            path,
-            &profile.to_json(what, jobs),
-            format_args!("host profile ({} phase record(s))", records.len()),
-        );
-    }
 }
 
 /// Writes one output document to `path` and says so on stderr as
@@ -526,6 +535,33 @@ fn write_doc(path: &str, doc: &str, what: std::fmt::Arguments) {
         Err(e) => {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sample_every_grammar() {
+        assert_eq!(parse_sample_every("10").unwrap().as_nanos(), 10_000_000);
+        assert_eq!(parse_sample_every("10ms").unwrap().as_nanos(), 10_000_000);
+        assert_eq!(parse_sample_every("250us").unwrap().as_nanos(), 250_000);
+        assert_eq!(parse_sample_every("2s").unwrap().as_nanos(), 2_000_000_000);
+        for bad in [
+            "",
+            "0",
+            "0ms",
+            "-5",
+            "1.5ms",
+            "5m",
+            "ms",
+            "1e3",
+            " 5",
+            "99999999999999999999s",
+        ] {
+            assert!(parse_sample_every(bad).is_err(), "accepted {bad:?}");
         }
     }
 }

@@ -98,10 +98,6 @@ impl Default for WorldOptions {
 /// SPARCstation CPU costs, 8 MB of memory, and the 400 MB SCSI drive with a
 /// track buffer, pageout daemon and cleaner wired up.
 pub async fn paper_world(sim: &Sim, tuning: Tuning, opts: WorldOptions) -> FsResult<World> {
-    // Wall-clock phase (nested inside `run.drive` in the host profile):
-    // world construction — mkfs, mount, cache build — is a real fraction
-    // of short runs and should be visible separately from the drive loop.
-    let _build = simkit::perfmon::phase("world.build");
     let mut tuning = tuning;
     tuning.bmap_cache = opts.bmap_cache;
     tuning.random_cluster_hint = opts.random_cluster_hint;

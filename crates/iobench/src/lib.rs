@@ -29,9 +29,6 @@
 //! - [`report`]: fixed-width table rendering for the regenerated figures.
 //! - [`traceout`]: Chrome trace-event export (`iobench --trace`) plus the
 //!   latency-attribution and per-fault timeline tables built from spans.
-//! - [`perfout`]: the host-profile report behind `iobench --perf` — per-
-//!   worker wall-clock utilization, top phase sinks, and allocation churn
-//!   assembled from `simkit::perfmon` records.
 
 pub mod aging;
 pub mod configs;
@@ -40,7 +37,6 @@ pub mod experiments;
 pub mod faults;
 pub mod iobench;
 pub mod musbus;
-pub mod perfout;
 pub mod readahead;
 pub mod report;
 pub mod runner;
@@ -52,8 +48,6 @@ pub mod volume;
 pub const STATS_SCHEMA: &str = "iobench-stats/v8";
 /// Schema tag of the `--timeline` document.
 pub const TIMELINE_SCHEMA: &str = "iobench-timeline/v1";
-/// Schema tag of the `--perf` document.
-pub const PERF_SCHEMA: &str = "iobench-perf/v2";
 
 pub use configs::{paper_ext_world, paper_world, Config, WorldOptions};
 pub use faults::{faults_data, faults_run, FaultCell, PhaseStats};

@@ -13,16 +13,7 @@
 //! reach the caller and the [`StatsSink`] — so stdout, `--stats-json`,
 //! `--trace`, and `--timeline` are byte-identical for any `--jobs` value
 //! (see DESIGN.md "Wall-clock performance").
-//!
-//! Under `iobench --perf` every stage of a run's life is a named
-//! `simkit::perfmon` phase: `worker.lifetime` brackets each worker's loop,
-//! `runner.pickup` each claim from the queue, `run.setup`/`run.drive`/
-//! `run.capture` the run itself (drive is labeled with the run id),
-//! `runner.fanout_wait` the calling thread's wait for spawned workers, and
-//! `runner.emit` the plan-order hand-back. None of this touches virtual
-//! time: profiled runs produce byte-identical virtual-time outputs.
 
-use simkit::perfmon;
 use simkit::Sim;
 use std::iter::Enumerate;
 use std::sync::Mutex;
@@ -58,7 +49,6 @@ type Outcome<T> = (T, Option<RunCapture>);
 /// there is a spec (a sink), captures what the sink keeps. The one place
 /// a run's `Sim` is built; runs entirely on one thread.
 fn execute<T>(spec: Option<RunSpec>, plan: RunPlan<T>) -> Outcome<T> {
-    let setup = perfmon::phase("run.setup");
     let sim = Sim::new();
     let arm = spec.unwrap_or_default();
     if arm.tracing {
@@ -68,12 +58,7 @@ fn execute<T>(spec: Option<RunSpec>, plan: RunPlan<T>) -> Outcome<T> {
         sim.telemetry()
             .start(&sim, every, StatsSink::MAX_SAMPLES_PER_RUN);
     }
-    drop(setup);
-    let value = {
-        let _drive = perfmon::phase_labeled("run.drive", &plan.id);
-        (plan.body)(&sim)
-    };
-    let _capture = perfmon::phase("run.capture");
+    let value = (plan.body)(&sim);
     // A disarmed tracer or sampler has nothing to drain.
     let capture = spec.map(|_| RunCapture {
         stats: sim.stats().to_json(),
@@ -86,21 +71,15 @@ fn execute<T>(spec: Option<RunSpec>, plan: RunPlan<T>) -> Outcome<T> {
 
 /// The worker loop: claims plans off the shared queue until it is empty,
 /// executing each, and returns the outcomes with their plan indices.
-fn work<T>(worker: u32, spec: Option<RunSpec>, queue: &Queue<T>) -> Vec<(usize, Outcome<T>)> {
-    perfmon::set_worker(worker);
-    let _lifetime = perfmon::phase("worker.lifetime");
+fn work<T>(spec: Option<RunSpec>, queue: &Queue<T>) -> Vec<(usize, Outcome<T>)> {
     let mut done = Vec::new();
     loop {
-        let pickup = perfmon::phase("runner.pickup");
+        // Not `while let`: that would hold the lock through the run.
         let Some((i, plan)) = queue.lock().expect("run queue poisoned").next() else {
-            // Finding the queue empty claims nothing: no pickup to record.
-            std::mem::forget(pickup);
-            break;
+            return done;
         };
-        drop(pickup);
         done.push((i, execute(spec, plan)));
     }
-    done
 }
 
 /// Executes [`RunPlan`]s across up to `jobs` OS threads, then hands the
@@ -137,17 +116,13 @@ impl<'a> Runner<'a> {
         let workers = self.jobs.min(plans.len());
         let queue = Mutex::new(plans.into_iter().enumerate());
         let mut done = if workers <= 1 {
-            // One worker suffices: the loop runs inline, as worker 0, so
-            // serial and parallel host profiles share one shape.
-            let done = work(0, spec, &queue);
-            perfmon::set_worker(perfmon::MAIN_THREAD);
-            done
+            // One worker suffices: the loop runs inline.
+            work(spec, &queue)
         } else {
-            let _wait = perfmon::phase("runner.fanout_wait");
             std::thread::scope(|scope| {
                 let queue = &queue;
-                let handles: Vec<_> = (0..workers as u32)
-                    .map(|w| scope.spawn(move || work(w, spec, queue)))
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| scope.spawn(move || work(spec, queue)))
                     .collect();
                 handles
                     .into_iter()
@@ -156,7 +131,6 @@ impl<'a> Runner<'a> {
             })
         };
         done.sort_unstable_by_key(|&(i, _)| i);
-        let _emit = perfmon::phase("runner.emit");
         done.into_iter()
             .map(|(_, (value, capture))| {
                 if let (Some(sink), Some(capture)) = (self.sink, capture) {

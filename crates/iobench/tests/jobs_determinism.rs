@@ -1,13 +1,14 @@
 //! The parallel harness contract: `--jobs N` changes only wall-clock
 //! time. Every simulated run is a pure function of virtual time and the
 //! runner re-emits outcomes in plan order, so the rendered tables, the
-//! `--stats-json` document, and the Chrome-trace export must be
-//! byte-identical whatever the jobs count.
+//! `--stats-json` document, the Chrome-trace export and the `--timeline`
+//! document must be byte-identical whatever the jobs count.
 
 use iobench::experiments::{fig10_run, fig10_table, fig11_table, RunScale, StatsSink};
 use iobench::runner::Runner;
 use iobench::traceout;
 use iobench::volume::{volume_data, volume_ext_table, volume_table, VolumeSweep};
+use simkit::SimDuration;
 use volmgr::VolumeSpec;
 
 /// A scale small enough to run the full 20-cell Figure 10 matrix in a
@@ -20,23 +21,24 @@ fn tiny() -> RunScale {
     }
 }
 
-/// Renders fig10/fig11 with a tracing sink at the given jobs count and
-/// returns every output surface the CLI can emit.
-fn fig10_outputs(jobs: usize) -> (String, String, String, String) {
-    let sink = StatsSink::with_capture(true, None);
+/// Renders fig10/fig11 with a tracing and sampling sink at the given jobs
+/// count and returns every output surface the CLI can emit.
+fn fig10_outputs(jobs: usize) -> (String, String, String, String, String) {
+    let sink = StatsSink::with_capture(true, Some(SimDuration::from_millis(50)));
     let runner = Runner::new(jobs, Some(&sink));
     let data = fig10_run(tiny(), &runner);
     let t10 = fig10_table(&data);
     let t11 = fig11_table(&data);
     let stats = sink.to_json("fig10");
     let trace = traceout::chrome_trace_json(&sink.runs());
-    (t10, t11, stats, trace)
+    let timeline = sink.timeline_json("fig10");
+    (t10, t11, stats, trace, timeline)
 }
 
 #[test]
 fn fig10_is_byte_identical_across_jobs_counts() {
-    let (t10_serial, t11_serial, stats_serial, trace_serial) = fig10_outputs(1);
-    let (t10_par, t11_par, stats_par, trace_par) = fig10_outputs(4);
+    let (t10_serial, t11_serial, stats_serial, trace_serial, timeline_serial) = fig10_outputs(1);
+    let (t10_par, t11_par, stats_par, trace_par, timeline_par) = fig10_outputs(4);
     assert_eq!(
         t10_serial, t10_par,
         "Figure 10 table must not depend on --jobs"
@@ -53,9 +55,21 @@ fn fig10_is_byte_identical_across_jobs_counts() {
         trace_serial, trace_par,
         "--trace export must be byte-identical across --jobs"
     );
-    // Guard against the vacuous pass: all 20 runs captured, spans present.
+    assert_eq!(
+        timeline_serial, timeline_par,
+        "--timeline document must be byte-identical across --jobs"
+    );
+    // Guard against the vacuous pass: all 20 runs captured and sampled,
+    // spans present, and the sampled series merged into the trace as
+    // counter tracks.
     assert_eq!(stats_serial.matches("\"id\":\"fig10/").count(), 20);
+    assert_eq!(timeline_serial.matches("\"id\":\"fig10/").count(), 20);
+    assert!(timeline_serial.contains(&format!("\"schema\":\"{}\"", iobench::TIMELINE_SCHEMA)));
     assert!(trace_serial.len() > 1000, "trace export should carry spans");
+    assert!(
+        trace_serial.contains("\"ph\":\"C\""),
+        "counter tracks reach the trace"
+    );
 }
 
 /// A reduced volume sweep covering all three RAID dispatch paths — one

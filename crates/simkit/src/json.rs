@@ -1,7 +1,7 @@
 //! The one JSON writer. Every document the workspace emits — registry
-//! snapshots, `--stats-json`, `--timeline`, `--trace` and `--perf` — is
-//! written through these functions, so escaping and number formatting
-//! are defined once. Each appends to a caller-supplied `String`; there is
+//! snapshots, `--stats-json`, `--timeline` and `--trace` — is written
+//! through these functions, so escaping and number formatting are
+//! defined once. Each appends to a caller-supplied `String`; there is
 //! no value tree, so a serializer allocates only the text it writes.
 
 use std::fmt::Write as _;

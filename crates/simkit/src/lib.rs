@@ -24,9 +24,9 @@
 //! - [`stats`] — the per-`Sim` metrics registry (counters, gauges,
 //!   histograms, time-weighted means) with deterministic JSON snapshots
 //! - [`json`] — the one JSON writer every emitted document goes through
-//! - [`perfmon`] — the host-side observatory: wall-clock phase profiler
-//!   (process-global, off by default) and the per-`Sim` virtual-time
-//!   telemetry sampler ([`Telemetry`], `sim.telemetry()`)
+//! - [`perfmon`] — the per-`Sim` virtual-time telemetry sampler
+//!   ([`Telemetry`], `sim.telemetry()`) and the per-thread counting
+//!   allocator that allocation-budget tests install
 //!
 //! ## Invariants
 //!
@@ -48,7 +48,7 @@ pub mod trace;
 pub use channel::{channel, Receiver, SendError, Sender};
 pub use cpu::{Cpu, TagStat};
 pub use executor::{JoinHandle, Sim, Sleep, TaskId, TimeHandle, YieldNow};
-pub use perfmon::{PhaseGuard, PhaseRecord, Telemetry};
+pub use perfmon::Telemetry;
 pub use rng::SimRng;
 pub use stats::{Counter, Gauge, Histogram, NameId, StatsRegistry, TimeWeighted};
 pub use sync::{Event, Notify, SemPermit, Semaphore};

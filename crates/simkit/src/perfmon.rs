@@ -1,15 +1,11 @@
-//! Host-side performance observatory.
+//! Host-side allocation counting and the virtual-time telemetry sampler.
 //!
-//! Everything else in `simkit` explains *virtual* nanoseconds; this module
-//! explains *wall-clock* ones — where the host process actually spends its
-//! time when it executes a simulation. Two independent halves:
+//! Two independent pieces:
 //!
-//! 1. **Wall-clock phase profiler** (process-global, off by default):
-//!    [`phase`] opens a named wall-clock span on the current thread; when
-//!    it closes, its record is appended to one process-wide log, which
-//!    [`take_records`] drains. Each record also carries the thread's
-//!    allocation delta over the span (see [`CountingAlloc`]) so
-//!    allocation churn can be attributed to phases.
+//! 1. **Counting allocator** ([`CountingAlloc`]): a [`std::alloc::System`]
+//!    wrapper that keeps per-thread allocation counters, read by
+//!    [`thread_alloc_counts`] and [`thread_live_bytes`]. Tests that pin an
+//!    allocation budget install it as their `#[global_allocator]`.
 //!
 //! 2. **Virtual-time telemetry sampler** ([`Telemetry`], per-[`Sim`]):
 //!    a simulated task that periodically snapshots every numeric metric in
@@ -19,178 +15,17 @@
 //!    and only *observes* virtual time, so enabling it must not (and does
 //!    not — tests pin this) change a single byte of the stats snapshot,
 //!    the trace, or the rendered tables.
-//!
-//! The profiler deliberately never touches virtual time and the sampler
-//! deliberately never touches the wall clock: the paper's numbers stay a
-//! pure function of the simulation with the observatory fully armed.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 use crate::executor::Sim;
 use crate::stats::StatsRegistry;
 use crate::time::SimDuration;
 
 // ---------------------------------------------------------------------------
-// Wall-clock phase profiler
-// ---------------------------------------------------------------------------
-
-/// Worker id reported for threads that never called [`set_worker`] (the
-/// process's main/orchestrating thread).
-pub const MAIN_THREAD: u32 = u32::MAX;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-/// Every closed phase, from every thread, in closing order. A run closes
-/// a handful of phases, so one lock per record is nowhere near contended.
-static LOG: Mutex<Vec<PhaseRecord>> = Mutex::new(Vec::new());
-
-thread_local! {
-    static WORKER: Cell<u32> = const { Cell::new(MAIN_THREAD) };
-}
-
-/// One closed wall-clock phase span recorded on some thread.
-#[derive(Clone, Debug)]
-pub struct PhaseRecord {
-    /// Phase name (`"run.drive"`, `"runner.pickup"`, ...).
-    pub name: &'static str,
-    /// Optional free-form label (e.g. the run id a `run.drive` executed).
-    pub label: Option<Box<str>>,
-    /// Worker id ([`set_worker`]), or [`MAIN_THREAD`].
-    pub worker: u32,
-    /// Wall-clock bounds in nanoseconds since the profiler epoch.
-    pub start_ns: u64,
-    pub end_ns: u64,
-    /// Heap allocations performed by this thread while the span was open.
-    pub allocs: u64,
-    /// Bytes requested by those allocations.
-    pub alloc_bytes: u64,
-}
-
-impl PhaseRecord {
-    /// Span duration in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns - self.start_ns
-    }
-}
-
-/// Arms (or disarms) the wall-clock profiler for the whole process. The
-/// epoch is pinned on the first enable so record timestamps from every
-/// thread share one origin. Cheap to call; recording while disabled is a
-/// single relaxed atomic load.
-pub fn set_enabled(on: bool) {
-    if on {
-        EPOCH.get_or_init(Instant::now);
-    }
-    ALLOC_COUNTING.store(on, Ordering::Relaxed);
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the profiler is recording.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-fn now_ns() -> u64 {
-    EPOCH
-        .get()
-        .map(|e| e.elapsed().as_nanos() as u64)
-        .unwrap_or(0)
-}
-
-/// Tags the current thread as worker `k` for subsequent records. Threads
-/// that never call this report as [`MAIN_THREAD`].
-pub fn set_worker(k: u32) {
-    WORKER.with(|w| w.set(k));
-}
-
-/// An open wall-clock phase on the current thread; recording happens on
-/// drop. Returned by [`phase`] / [`phase_labeled`].
-pub struct PhaseGuard {
-    name: &'static str,
-    label: Option<Box<str>>,
-    start_ns: u64,
-    allocs0: u64,
-    bytes0: u64,
-    /// Disarmed guards (profiler off at open) record nothing on drop.
-    armed: bool,
-}
-
-/// Opens the wall-clock phase `name` on this thread, closed when the
-/// returned guard drops. Zero-cost (one atomic load) while the profiler
-/// is disabled.
-pub fn phase(name: &'static str) -> PhaseGuard {
-    phase_inner(name, None)
-}
-
-/// Like [`phase`], with a free-form label attached to the record (e.g.
-/// the id of the run a `run.drive` phase executed).
-pub fn phase_labeled(name: &'static str, label: &str) -> PhaseGuard {
-    phase_inner(name, Some(label.into()))
-}
-
-fn phase_inner(name: &'static str, label: Option<Box<str>>) -> PhaseGuard {
-    if !enabled() {
-        return PhaseGuard {
-            name,
-            label: None,
-            start_ns: 0,
-            allocs0: 0,
-            bytes0: 0,
-            armed: false,
-        };
-    }
-    let (allocs0, bytes0) = thread_alloc_counts();
-    PhaseGuard {
-        name,
-        label,
-        // Snapshot the clock *after* the label allocation so the span
-        // excludes the guard's own setup.
-        start_ns: now_ns(),
-        allocs0,
-        bytes0,
-        armed: true,
-    }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let end_ns = now_ns();
-        let (allocs1, bytes1) = thread_alloc_counts();
-        let rec = PhaseRecord {
-            name: self.name,
-            label: self.label.take(),
-            worker: WORKER.try_with(Cell::get).unwrap_or(MAIN_THREAD),
-            start_ns: self.start_ns,
-            end_ns,
-            allocs: allocs1.saturating_sub(self.allocs0),
-            alloc_bytes: bytes1.saturating_sub(self.bytes0),
-        };
-        // No panic here: a guard may drop during a panic's unwind. A
-        // poisoned log still holds well-formed records.
-        LOG.lock().unwrap_or_else(|e| e.into_inner()).push(rec);
-    }
-}
-
-/// Drains every record logged so far, sorted by `(worker, start)` so
-/// reports are stable regardless of which thread closed first.
-pub fn take_records() -> Vec<PhaseRecord> {
-    let mut records = std::mem::take(&mut *LOG.lock().unwrap_or_else(|e| e.into_inner()));
-    records.sort_by_key(|r| (r.worker, r.start_ns, r.end_ns));
-    records
-}
-
-// ---------------------------------------------------------------------------
 // Counting allocator
 // ---------------------------------------------------------------------------
-
-static ALLOC_COUNTING: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
@@ -200,7 +35,7 @@ thread_local! {
 
 /// `(allocations, bytes)` performed by this thread since it started, as
 /// counted by [`CountingAlloc`]. Zeros unless the binary installed the
-/// counting allocator and the profiler has been enabled at least once.
+/// counting allocator.
 pub fn thread_alloc_counts() -> (u64, u64) {
     let count = ALLOC_COUNT.try_with(Cell::get).unwrap_or(0);
     let bytes = ALLOC_BYTES.try_with(Cell::get).unwrap_or(0);
@@ -208,27 +43,31 @@ pub fn thread_alloc_counts() -> (u64, u64) {
 }
 
 /// Bytes this thread allocated and has not freed, as counted by
-/// [`CountingAlloc`] since the profiler was enabled — a level to compare
-/// with an earlier reading of itself (memory allocated before counting
-/// began and freed after it reads as negative).
+/// [`CountingAlloc`] — a level to compare with an earlier reading of
+/// itself (memory another thread allocated and this one freed reads as
+/// negative).
 pub fn thread_live_bytes() -> i64 {
     let allocated = ALLOC_BYTES.try_with(Cell::get).unwrap_or(0);
     let freed = FREED_BYTES.try_with(Cell::get).unwrap_or(0);
     allocated as i64 - freed as i64
 }
 
+fn count_alloc(size: usize) {
+    let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + size as u64));
+}
+
 /// A [`std::alloc::System`] wrapper that counts per-thread allocation
-/// traffic for the profiler. Install it in a binary's root:
+/// traffic. Install it in a binary's (or an integration test's) root:
 ///
 /// ```ignore
 /// #[global_allocator]
 /// static ALLOC: simkit::perfmon::CountingAlloc = simkit::perfmon::CountingAlloc;
 /// ```
 ///
-/// Until the profiler is first enabled the counting branch is a single
-/// relaxed load, so uninstrumented runs pay nothing measurable. Counters
-/// are plain thread-local `Cell`s (no allocation, no locking), safe to
-/// bump from inside the allocator itself.
+/// It counts whenever it is installed. Counters are plain thread-local
+/// `Cell`s (no allocation, no locking), safe to bump from inside the
+/// allocator itself.
 pub struct CountingAlloc;
 
 // SAFETY: delegates allocation to `System` verbatim; the bookkeeping
@@ -236,28 +75,28 @@ pub struct CountingAlloc;
 // allocate or unwind.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        if ALLOC_COUNTING.load(Ordering::Relaxed) {
-            let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
-            let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
-        }
+        count_alloc(layout.size());
         unsafe { std::alloc::System.alloc(layout) }
     }
 
+    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_alloc(layout.size());
+        // `System` can hand back pages the kernel already zeroed; the
+        // trait's default would write every byte.
+        unsafe { std::alloc::System.alloc_zeroed(layout) }
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        if ALLOC_COUNTING.load(Ordering::Relaxed) {
-            let _ = FREED_BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
-        }
+        let _ = FREED_BYTES.try_with(|c| c.set(c.get() + layout.size() as u64));
         unsafe { std::alloc::System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        if ALLOC_COUNTING.load(Ordering::Relaxed) {
-            let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
-            let grown = new_size.saturating_sub(layout.size()) as u64;
-            let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + grown));
-            let shrunk = layout.size().saturating_sub(new_size) as u64;
-            let _ = FREED_BYTES.try_with(|c| c.set(c.get() + shrunk));
-        }
+        let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+        let grown = new_size.saturating_sub(layout.size()) as u64;
+        let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + grown));
+        let shrunk = layout.size().saturating_sub(new_size) as u64;
+        let _ = FREED_BYTES.try_with(|c| c.set(c.get() + shrunk));
         unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
     }
 }
@@ -410,51 +249,31 @@ impl Default for Telemetry {
 mod tests {
     use super::*;
     use crate::{Sim, SimDuration};
-    use std::sync::MutexGuard;
-
-    /// The enable flag and the record log are process-global, and
-    /// the harness runs tests on parallel threads: tests that set one or
-    /// drain the other must not interleave. A panic in one must not fail
-    /// the next, so a poisoned lock is taken anyway (it guards no data).
-    static GLOBALS: Mutex<()> = Mutex::new(());
-
-    fn globals() -> MutexGuard<'static, ()> {
-        GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
-    fn phases_record_on_named_workers_and_merge() {
-        let _serialize = globals();
-        set_enabled(true);
-        let _ = take_records(); // Discard records from other tests.
-        {
-            let _g = phase("test.outer");
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    set_worker(3);
-                    drop(phase_labeled("test.inner", "run/x"));
-                });
-            });
+    fn counting_alloc_counts_every_entry_point() {
+        use std::alloc::{GlobalAlloc, Layout};
+        // Called directly on an allocator this test binary does not
+        // install, so the counters move only by what these calls do. A
+        // realloc counts as one allocation of the bytes it grew by.
+        let a = CountingAlloc;
+        let layout = Layout::from_size_align(4096, 8).unwrap();
+        let (count0, bytes0) = thread_alloc_counts();
+        let live0 = thread_live_bytes();
+        unsafe {
+            let p = a.alloc(layout);
+            assert!(!p.is_null());
+            let z = a.alloc_zeroed(layout);
+            assert!(!z.is_null());
+            assert!(std::slice::from_raw_parts(z, 4096).iter().all(|&b| b == 0));
+            let z = a.realloc(z, layout, 8192);
+            assert!(!z.is_null());
+            assert_eq!(thread_alloc_counts(), (count0 + 3, bytes0 + 3 * 4096));
+            assert_eq!(thread_live_bytes(), live0 + 4096 + 8192);
+            a.dealloc(p, layout);
+            a.dealloc(z, Layout::from_size_align(8192, 8).unwrap());
         }
-        let records = take_records();
-        set_enabled(false);
-        let inner = records.iter().find(|r| r.name == "test.inner").unwrap();
-        assert_eq!(inner.worker, 3);
-        assert_eq!(inner.label.as_deref(), Some("run/x"));
-        let outer = records.iter().find(|r| r.name == "test.outer").unwrap();
-        assert_eq!(outer.worker, MAIN_THREAD);
-        assert!(outer.start_ns <= inner.start_ns && inner.end_ns <= outer.end_ns);
-    }
-
-    #[test]
-    fn disabled_profiler_records_nothing() {
-        let _serialize = globals();
-        set_enabled(false);
-        drop(phase("test.ghost"));
-        assert!(
-            take_records().iter().all(|r| r.name != "test.ghost"),
-            "disabled profiler must not record"
-        );
+        assert_eq!(thread_live_bytes(), live0);
     }
 
     #[test]

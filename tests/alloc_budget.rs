@@ -6,7 +6,6 @@
 //! below read 2.04 bytes allocated per byte moved; it reads 0.03 now.
 
 use std::rc::Rc;
-use std::sync::Mutex;
 
 use diskmodel::{Disk, DiskParams, Geometry};
 use extentfs::ExtentFsParams;
@@ -46,13 +45,8 @@ async fn warm_pass_cost<F: FileSystem>(w: &World<F>) -> f64 {
     (after - before) as f64 / (2 * FILE_BYTES) as f64
 }
 
-/// The counting switch is process-wide: tests that count hold this.
-static COUNTING: Mutex<()> = Mutex::new(());
-
 #[test]
 fn a_warm_pass_allocates_a_fraction_of_a_byte_per_byte_moved() {
-    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
-    perfmon::set_enabled(true);
     let sim = Sim::new();
     let s = sim.clone();
     let ufs = sim.run_until(async move {
@@ -68,7 +62,6 @@ fn a_warm_pass_allocates_a_fraction_of_a_byte_per_byte_moved() {
         let w = paper_ext_world(&s, disk, 64, ExtentFsParams::with_extent_blocks(15));
         warm_pass_cost(&w).await
     });
-    perfmon::set_enabled(false);
     assert!(ufs > 0.0 && ext > 0.0, "the allocator is not counting");
     assert!(
         ufs < 0.25,
@@ -107,11 +100,8 @@ fn second_rebuild_bytes(spec: &str) -> u64 {
 
 #[test]
 fn a_rebuild_allocates_a_few_stripes_not_one_per_row() {
-    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
-    perfmon::set_enabled(true);
     let raid5 = second_rebuild_bytes("raid5:4:32k");
     let raid1 = second_rebuild_bytes("raid1:2");
-    perfmon::set_enabled(false);
     assert!(raid5 > 0 && raid1 > 0, "the allocator is not counting");
     // The sweeps cover 32 RAID-5 rows and 16 RAID-1 copy units. Their
     // buffers come off the free list; what is left is the devices'

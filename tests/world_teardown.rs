@@ -76,23 +76,16 @@ fn ufs_on_raid5() {
     });
 }
 
-/// Live bytes on this thread, with the profiler's own buffer emptied.
-fn level() -> i64 {
-    perfmon::take_records();
-    perfmon::thread_live_bytes()
-}
-
 #[test]
 fn a_dropped_world_gives_its_memory_back() {
-    perfmon::set_enabled(true);
-    let start = level();
+    let start = perfmon::thread_live_bytes();
     for (name, world) in [
         ("UFS config A", ufs_config_a as fn()),
         ("extentfs", extentfs),
         ("UFS on raid5:4:32k", ufs_on_raid5),
     ] {
         world();
-        let left = level() - start;
+        let left = perfmon::thread_live_bytes() - start;
         assert!(
             left.abs() <= SLACK,
             "{name}: {left} bytes outlive the world"
@@ -101,11 +94,10 @@ fn a_dropped_world_gives_its_memory_back() {
     let (_, allocated) = perfmon::thread_alloc_counts();
     assert!(allocated > 8 << 20, "the allocator is not counting");
 
-    let first = level();
+    let first = perfmon::thread_live_bytes();
     for _ in 0..8 {
         ufs_config_a();
     }
-    let grown = level() - first;
-    perfmon::set_enabled(false);
+    let grown = perfmon::thread_live_bytes() - first;
     assert!(grown <= 0, "eight worlds in a row grew the heap by {grown}");
 }

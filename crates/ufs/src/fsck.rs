@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::mem;
 
 use diskmodel::{BlockDevice, BlockDeviceExt};
-use vfs::FsResult;
+use vfs::{FsError, FsResult};
 
 use crate::layout::{
     CgHeader, Dinode, FileKind, Superblock, BLOCK_SIZE, DINODE_SIZE, NDADDR, PTRS_PER_BLOCK,
@@ -55,24 +55,22 @@ impl FsckReport {
     }
 }
 
-/// Reads block `pbn` into `buf` and hands it back: the passes below read
-/// every inode-table, indirect and directory block of the disk, one after
-/// another, through the same allocation.
-///
-/// # Panics
-///
-/// Panics on an unrecoverable device error, like [`BlockDeviceExt::read`].
-async fn read_block(disk: &dyn BlockDevice, pbn: u64, buf: Vec<u8>) -> Vec<u8> {
-    disk.try_read_into(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK, buf)
+/// Reads `n` blocks from `pbn` into `buf` and hands it back: the passes
+/// below read every inode table (one transfer per group), indirect and
+/// directory block of the disk, one after another, through a few reused
+/// allocations. An error that outlasts the device's bounded retry is
+/// `FsError::Io`.
+async fn read_blocks(disk: &dyn BlockDevice, pbn: u64, n: u32, buf: Vec<u8>) -> FsResult<Vec<u8>> {
+    disk.try_read_into(pbn * SECTORS_PER_BLOCK as u64, n * SECTORS_PER_BLOCK, buf)
         .await
-        .expect("unrecoverable device error on read")
+        .map_err(|_| FsError::Io)
 }
 
-/// Writes block `pbn` and hands the buffer back, like [`read_block`].
-async fn write_block(disk: &dyn BlockDevice, pbn: u64, data: Vec<u8>) -> Vec<u8> {
+/// Writes block `pbn` and hands the buffer back, like [`read_blocks`].
+async fn write_block(disk: &dyn BlockDevice, pbn: u64, data: Vec<u8>) -> FsResult<Vec<u8>> {
     disk.try_write_from(pbn * SECTORS_PER_BLOCK as u64, SECTORS_PER_BLOCK, data)
         .await
-        .expect("unrecoverable device error on write")
+        .map_err(|_| FsError::Io)
 }
 
 fn read_ptr(block: &[u8], idx: usize) -> u32 {
@@ -124,7 +122,8 @@ fn keep(dirty: &mut BTreeMap<u64, Vec<u8>>, pbn: u32, data: Vec<u8>, changed: bo
 /// Checks the file system on `disk`. Damage is reported, never repaired;
 /// an undecodable superblock comes back as an `unfixable` finding rather
 /// than an error return, so callers can print one structured report for
-/// any state of the disk.
+/// any state of the disk. A read the device fails past its bounded retry
+/// is `Err(FsError::Io)`.
 pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     walk(disk, false).await
 }
@@ -137,7 +136,9 @@ pub async fn fsck(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
 /// Damage with no on-disk recovery (an undecodable superblock, a missing
 /// root directory) is reported `unfixable`, the findings stay in
 /// `errors`, and the disk is left untouched. A [`fsck`] run after a
-/// repair with nothing unfixable reports clean.
+/// repair with nothing unfixable reports clean. A device error is
+/// `Err(FsError::Io)`, and one during the write-back leaves the repair
+/// part-way.
 pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
     walk(disk, true).await
 }
@@ -159,7 +160,7 @@ pub async fn fsck_repair(disk: &dyn BlockDevice) -> FsResult<FsckReport> {
 /// findings count as `repaired`.
 async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     let mut report = FsckReport::default();
-    let mut buf = read_block(disk, SB_BLOCK, Vec::new()).await;
+    let mut buf = read_blocks(disk, SB_BLOCK, 1, Vec::new()).await?;
     let Some(mut sb) = Superblock::decode(&buf) else {
         report
             .unfixable
@@ -186,7 +187,7 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     let mut cgs = Vec::new();
     for cgx in 0..sb.ncg {
         report.checked += 1;
-        buf = read_block(disk, sb.cg_start(cgx), buf).await;
+        buf = read_blocks(disk, sb.cg_start(cgx), 1, buf).await?;
         cgs.push(match CgHeader::decode(&buf) {
             Some(cg) if (cg.block_bitmap.len(), cg.inode_bitmap.len()) == bitmap_bytes => {
                 if cg.cgx != cgx {
@@ -215,7 +216,10 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
         }
     }
 
-    // Pass 1: walk inodes, collect block claims.
+    // Pass 1: walk inodes, collect block claims. Each group's inode table
+    // (`inode_blocks_per_cg` contiguous blocks after its header) is read
+    // whole, in one transfer into one reused buffer, when the walk enters
+    // the group; its dinodes are decoded from there.
     let mut claims: HashMap<u64, u32> = HashMap::new(); // pbn -> claiming ino
     let mut dinodes: HashMap<u32, Dinode> = HashMap::new();
     // What the fixes changed, for the write-back: dinodes, and the map and
@@ -245,13 +249,17 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
         false
     };
 
+    let mut table = Vec::new();
     for ino in 2..sb.total_inodes() {
         report.checked += 1;
-        let (pbn, idx) = sb.inode_location(ino);
-        buf = read_block(disk, pbn, buf).await;
-        let cg = &mut cgs[(ino / sb.inodes_per_cg) as usize];
-        let slot = ino % sb.inodes_per_cg;
-        let Some(mut din) = Dinode::decode(&buf[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]) else {
+        let (cgx, slot) = (ino / sb.inodes_per_cg, ino % sb.inodes_per_cg);
+        if slot == 0 || ino == 2 {
+            table =
+                read_blocks(disk, sb.cg_start(cgx) + 1, sb.inode_blocks_per_cg(), table).await?;
+        }
+        let cg = &mut cgs[cgx as usize];
+        let at = slot as usize * DINODE_SIZE;
+        let Some(mut din) = Dinode::decode(&table[at..at + DINODE_SIZE]) else {
             // Nothing recoverable in the slot: free it.
             report.errors.push(format!("ino {ino}: undecodable dinode"));
             set_bit(&mut cg.inode_bitmap, slot, false);
@@ -291,7 +299,8 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
                 let covered = nblocks
                     .saturating_sub(NDADDR as u64)
                     .min(PTRS_PER_BLOCK as u64);
-                let mut map = read_block(disk, din.indirect as u64, mem::take(&mut buf)).await;
+                let mut map =
+                    read_blocks(disk, din.indirect as u64, 1, mem::take(&mut buf)).await?;
                 let (n, changed) = claim_slots(&mut map, covered as usize, |p| {
                     claim(&mut report.errors, ino, p)
                 });
@@ -299,7 +308,7 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
                 buf = keep(&mut dirty_blocks, din.indirect, map, changed);
             }
             if claim(&mut report.errors, ino, &mut din.double) {
-                let mut l1 = read_block(disk, din.double as u64, mem::take(&mut buf)).await;
+                let mut l1 = read_blocks(disk, din.double as u64, 1, mem::take(&mut buf)).await?;
                 let (n, l1_changed) = claim_slots(&mut l1, PTRS_PER_BLOCK, |p| {
                     claim(&mut report.errors, ino, p)
                 });
@@ -309,7 +318,7 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
                     if mid == 0 {
                         continue;
                     }
-                    let mut l2 = read_block(disk, mid as u64, mem::take(&mut buf2)).await;
+                    let mut l2 = read_blocks(disk, mid as u64, 1, mem::take(&mut buf2)).await?;
                     let (n, changed) = claim_slots(&mut l2, PTRS_PER_BLOCK, |p| {
                         claim(&mut report.errors, ino, p)
                     });
@@ -354,7 +363,7 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
             if p == 0 {
                 continue;
             }
-            let mut data = read_block(disk, p as u64, mem::take(&mut buf)).await;
+            let mut data = read_blocks(disk, p as u64, 1, mem::take(&mut buf)).await?;
             let mut changed = false;
             let mut pos = 0usize;
             while pos + 5 <= BLOCK_SIZE {
@@ -479,20 +488,20 @@ async fn walk(disk: &dyn BlockDevice, repair: bool) -> FsResult<FsckReport> {
     // dinodes, every group header, and the superblock last.
     if repair {
         for (pbn, data) in dirty_blocks {
-            write_block(disk, pbn, data).await;
+            write_block(disk, pbn, data).await?;
         }
         for ino in dirty_inos {
             let (pbn, idx) = sb.inode_location(ino);
-            buf = read_block(disk, pbn, buf).await;
+            buf = read_blocks(disk, pbn, 1, buf).await?;
             buf[idx * DINODE_SIZE..(idx + 1) * DINODE_SIZE]
                 .copy_from_slice(&dinodes[&ino].encode());
-            buf = write_block(disk, pbn, buf).await;
+            buf = write_block(disk, pbn, buf).await?;
         }
         for (cgx, cg) in cgs.iter().enumerate() {
-            write_block(disk, sb.cg_start(cgx as u32), cg.encode()).await;
+            write_block(disk, sb.cg_start(cgx as u32), cg.encode()).await?;
         }
         sb.clean = true;
-        write_block(disk, SB_BLOCK, sb.encode()).await;
+        write_block(disk, SB_BLOCK, sb.encode()).await?;
         report.repaired = mem::take(&mut report.errors);
     }
     Ok(report)

@@ -4,13 +4,21 @@
 //! through the raw disk. `fsck` must name the damage, `fsck_repair` must
 //! fix exactly what `fsck` reported, a second `fsck` must be clean, and
 //! the repaired image must mount and take new files.
+//!
+//! An image of the paper's drive pins the walk's report and the device
+//! requests it costs, and a fault under an inode table pins its error.
+
+use std::rc::Rc;
 
 use clufs::Tuning;
-use diskmodel::{BlockDeviceExt, SharedDevice};
+use diskmodel::{BlockDeviceExt, DiskParams, FaultDevice, FaultPlan, SharedDevice};
 use pagecache::{PageCache, PageCacheParams};
 use simkit::{Cpu, Sim};
 use ufs::layout::{CgHeader, DINODE_SIZE, ROOT_INO, SB_BLOCK, SECTORS_PER_BLOCK};
-use ufs::{build_test_world, fsck, fsck_repair, Dinode, FsckReport, Superblock, Ufs, UfsParams};
+use ufs::{
+    build_test_world, build_world, fsck, fsck_repair, Dinode, FsckReport, MkfsOptions, Superblock,
+    Ufs, UfsParams,
+};
 use vfs::{AccessMode, FileSystem, FsError, Vnode};
 
 async fn read_block(disk: &SharedDevice, pbn: u64) -> Vec<u8> {
@@ -142,6 +150,12 @@ enum Damage {
     CgMagic,
     CgBitmapSize,
     UndecodableDinode,
+    /// The last slot of the first inode-table block.
+    UndecodableSlot63,
+    /// The first slot of the second block.
+    UndecodableSlot64,
+    /// The last inode of the last group: the end of the last table.
+    UndecodableLastInode,
     InodeBitCleared,
     InodeBitSet,
     PointerToMetadata,
@@ -179,6 +193,12 @@ async fn damage(raw: &Raw, what: Damage) {
         Damage::CgBitmapSize => raw.edit_cg(0, |cg| _ = cg.block_bitmap.pop()).await,
         // Kind 0xffff is no file kind.
         Damage::UndecodableDinode => raw.edit_dinode_bytes(x, |b| b[..2].fill(0xff)).await,
+        Damage::UndecodableSlot63 => raw.edit_dinode_bytes(63, |b| b[..2].fill(0xff)).await,
+        Damage::UndecodableSlot64 => raw.edit_dinode_bytes(64, |b| b[..2].fill(0xff)).await,
+        Damage::UndecodableLastInode => {
+            let last = raw.sb.total_inodes() - 1;
+            raw.edit_dinode_bytes(last, |b| b[..2].fill(0xff)).await
+        }
         Damage::InodeBitCleared => raw.edit_cg(y / ipc, |cg| _ = cg.clear_inode(y % ipc)).await,
         Damage::InodeBitSet => raw.edit_cg(0, |cg| _ = cg.set_inode(free_ino)).await,
         Damage::PointerToMetadata => {
@@ -258,11 +278,18 @@ async fn check_repair_mount(s: &Sim, disk: SharedDevice) -> Outcome {
 
 #[test]
 fn every_corruption_is_found_then_repaired() {
-    let cases: [(Damage, &[&str]); 16] = [
+    let cases: [(Damage, &[&str]); 19] = [
         (Damage::CgIndex, &["cg 0: header claims index 9"]),
         (Damage::CgMagic, &["cg 0: bad magic", "ino 0: reserved"]),
         (Damage::CgBitmapSize, &["cg 0: bad magic or bitmap size"]),
         (Damage::UndecodableDinode, &["undecodable dinode"]),
+        (Damage::UndecodableSlot63, &["ino 63: undecodable dinode"]),
+        (Damage::UndecodableSlot64, &["ino 64: undecodable dinode"]),
+        // The fixture's one group holds 128 inodes.
+        (
+            Damage::UndecodableLastInode,
+            &["ino 127: undecodable dinode"],
+        ),
         (
             Damage::InodeBitCleared,
             &["dinode in use but bitmap says free"],
@@ -426,4 +453,99 @@ fn orphans_are_reported_in_inode_order() {
         orphans.windows(2).all(|w| w[0] < w[1]),
         "orphans out of inode order: {orphans:?}"
     );
+}
+
+/// A clean image of the paper's drive (`sun0424`: 24 groups, each with a
+/// 16-block table of 1,024 inodes): 300 small files in two directories, a
+/// 2 MB and a 20 MB file, and a fast symlink.
+async fn paper_image(s: &Sim) -> SharedDevice {
+    let w = build_world(
+        s,
+        DiskParams::sun0424(),
+        PageCacheParams::sparcstation_8mb(),
+        MkfsOptions::sun0424(),
+        UfsParams::test(Tuning::config_a()),
+    )
+    .await
+    .unwrap();
+    for d in ["a", "b"] {
+        w.fs.mkdir(d).await.unwrap();
+    }
+    for i in 0..300 {
+        let f =
+            w.fs.create(&format!("{}/f{i}", ["a", "b"][i % 2]))
+                .await
+                .unwrap();
+        f.write(0, &vec![7u8; (i % 24 + 1) * 1024], AccessMode::Copy)
+            .await
+            .unwrap();
+    }
+    let mb = vec![9u8; 1 << 20];
+    for (name, len) in [("two", 2), ("twenty", 20)] {
+        let f = w.fs.create(name).await.unwrap();
+        for i in 0..len {
+            f.write(i << 20, &mb, AccessMode::Copy).await.unwrap();
+        }
+    }
+    w.fs.symlink("link", "a/f0").await.unwrap();
+    w.fs.clone().unmount().await.unwrap();
+    w.disk
+}
+
+/// The walk reads each group's inode table in one transfer. On the paper's
+/// drive the report is the one the walk that read a block per inode gave
+/// (in 24,606 reads), and the reads are the superblock, two per group
+/// (header and table) and the map and directory blocks.
+#[test]
+fn paper_image_check_reads_each_inode_table_once() {
+    let sim = Sim::new();
+    let s = sim.clone();
+    let (report, reads, ncg) = sim.run_until(async move {
+        let disk = paper_image(&s).await;
+        let before = disk.stats().reads;
+        let report = fsck(&*disk).await.unwrap();
+        let reads = disk.stats().reads - before;
+        let sb = Superblock::decode(&read_block(&disk, SB_BLOCK).await).unwrap();
+        (report, reads, sb.ncg as u64)
+    });
+    assert!(report.is_clean(), "{:?}", report.errors);
+    assert!(report.was_clean);
+    assert_eq!(
+        (
+            report.checked,
+            report.files,
+            report.dirs,
+            report.used_blocks
+        ),
+        (73342, 303, 3, 3415)
+    );
+    assert_eq!(ncg, 24);
+    // Map blocks: the 2 MB file's indirect block, the 20 MB file's
+    // indirect, double-indirect and one second-level block. Directory
+    // blocks: one each for the root, `a` and `b`.
+    let maps_and_dirs = 4 + 3;
+    assert!(
+        reads <= 1 + 2 * ncg + maps_and_dirs,
+        "{reads} reads for {ncg} groups"
+    );
+}
+
+/// A sector of group 1's inode table that fails every read makes the check
+/// and the repair return `FsError::Io` once the device's retries are spent.
+#[test]
+fn unreadable_inode_table_is_an_io_error() {
+    let sim = Sim::new();
+    let s = sim.clone();
+    let (check, repair) = sim.run_until(async move {
+        let base = paper_image(&s).await;
+        let sb = Superblock::decode(&read_block(&base, SB_BLOCK).await).unwrap();
+        let lba = (sb.cg_start(1) + 3) * SECTORS_PER_BLOCK as u64 + 5;
+        let plan = FaultPlan::parse(&format!("media=0:{lba}+1")).unwrap();
+        let disk: SharedDevice = Rc::new(FaultDevice::new(&s, base, plan.for_spindle(0), 0));
+        let check = fsck(&*disk).await.map(drop);
+        let repair = fsck_repair(&*disk).await.map(drop);
+        (check, repair)
+    });
+    assert_eq!(check, Err(FsError::Io));
+    assert_eq!(repair, Err(FsError::Io));
 }

@@ -21,6 +21,8 @@
 # A change that is meant to leave simulator behaviour alone must leave both
 # files alone. One that moves behaviour re-baselines them, so `git diff
 # SURFACES.txt` shows the cells that moved, and says in CHANGES.md why.
+# When the stats hash differs, --check keeps the document as
+# target/surfaces-stats.json, to diff key by key against the parent's.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,6 +63,8 @@ if ! cmp -s "$TMP/now.sha256" SURFACES.sha256; then
     echo "surfaces moved: stats document hash differs" >&2
     echo "  expected $(cat SURFACES.sha256)" >&2
     echo "  got      $(cat "$TMP/now.sha256")" >&2
+    cp "$TMP/stats.json" target/surfaces-stats.json
+    echo "  kept this tree's stats document as target/surfaces-stats.json" >&2
     status=1
 fi
 [ "$status" -eq 0 ] && echo "surfaces match SURFACES.txt and SURFACES.sha256"

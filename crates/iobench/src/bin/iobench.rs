@@ -3,7 +3,7 @@
 //! ```text
 //! iobench fig9|fig10|fig11|fig12|extents|aging|musbus|alternatives|extentfs|\
 //!         write-limit|free-behind|streams|volume|faults|readahead|all \
-//!         [--quick] [--jobs N] [--streams N] [--volume <spec>] \
+//!         [--jobs N] [--streams N] [--volume <spec>] \
 //!         [--faults <spec>] \
 //!         [--readahead fixed|adaptive|off] [--stride <bytes>] \
 //!         [--record-size <bytes>] \
@@ -76,7 +76,6 @@ use volmgr::VolumeSpec;
 /// Everything an experiment reads: the parsed flags and the runner.
 struct Ctx<'a> {
     scale: RunScale,
-    quick: bool,
     nstreams: u32,
     aging: AgingParams,
     volume: Option<VolumeSpec>,
@@ -122,12 +121,12 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["extents"],
         title: "Allocator contiguity study",
-        run: |c| extents_run(c.quick, &c.runner).0,
+        run: |c| extents_run(&c.runner).0,
     },
     Experiment {
         names: &["aging"],
         title: "Clustering decay under aging (UFS vs extentfs)",
-        run: |c| aging_run(c.aging, c.quick, &c.runner).0,
+        run: |c| aging_run(c.aging, &c.runner).0,
     },
     Experiment {
         names: &["musbus"],
@@ -170,7 +169,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         names: &["faults"],
         title: "Fault injection: I/O error path, degraded service, and rebuild",
-        run: |c| faults_run(c.faults.as_ref(), c.volume.as_ref(), c.quick, &c.runner),
+        run: |c| faults_run(c.faults.as_ref(), c.volume.as_ref(), &c.runner),
     },
     Experiment {
         names: &["readahead"],
@@ -193,7 +192,7 @@ fn experiment_names() -> String {
 fn usage() -> ! {
     eprintln!(
         "usage: iobench {} \
-         [--quick] [--jobs N] [--streams N] [--volume <spec>] \
+         [--jobs N] [--streams N] [--volume <spec>] \
          [--faults <spec>] \
          [--readahead fixed|adaptive|off] [--stride <bytes>] \
          [--record-size <bytes>] \
@@ -405,13 +404,6 @@ fn main() {
         }
         plan
     });
-    let quick = match args.iter().position(|a| a == "--quick") {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    };
     // Every recognized flag has been consumed: anything left that looks
     // like a flag is a typo the user should hear about, not a silent no-op.
     if let Some(bad) = args.iter().find(|a| a.starts_with('-')) {
@@ -422,11 +414,6 @@ fn main() {
         eprintln!("unexpected argument: {}", args[1]);
         usage();
     }
-    let scale = if quick {
-        RunScale::quick()
-    } else {
-        RunScale::paper()
-    };
     // A bare `--faults <spec>` selects the faults experiment; a bare
     // `--streams N` selects the streams experiment; a bare
     // `--volume <spec>` selects the volume experiment; a bare aging knob
@@ -446,11 +433,7 @@ fn main() {
     };
     let what = args.first().map(|s| s.as_str()).unwrap_or(default_what);
     let nstreams = nstreams.unwrap_or(4);
-    let mut aging_params = if quick {
-        AgingParams::quick()
-    } else {
-        AgingParams::paper()
-    };
+    let mut aging_params = AgingParams::paper();
     if let Some(n) = age_ops {
         aging_params.ops_per_round = n;
     }
@@ -475,8 +458,7 @@ fn main() {
         usage();
     }
     let ctx = Ctx {
-        scale,
-        quick,
+        scale: RunScale::paper(),
         nstreams,
         aging: aging_params,
         volume: volume_spec,

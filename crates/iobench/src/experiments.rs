@@ -4,7 +4,7 @@
 
 use clufs::Tuning;
 use diskmodel::{Disk, DiskParams};
-use pagecache::{PageCacheParams, PageoutParams};
+use pagecache::PageCacheParams;
 use simkit::perfmon::Series;
 use simkit::{json, Sim, SimDuration, Span};
 use vfs::{FileSystem, World};
@@ -165,7 +165,8 @@ pub(crate) fn document_head(schema: &str, experiment: &str) -> String {
     out
 }
 
-/// Sizing for a full (paper-scale) or quick (CI-scale) run.
+/// Sizing for a run. The CLI runs the paper's sizes; tests may build
+/// smaller ones.
 #[derive(Clone, Copy, Debug)]
 pub struct RunScale {
     /// IObench file size.
@@ -183,15 +184,6 @@ impl RunScale {
             file_bytes: 16 << 20,
             random_ops: 1024,
             cpu_file_bytes: 16 << 20,
-        }
-    }
-
-    /// Reduced sizes for fast iteration and CI.
-    pub fn quick() -> RunScale {
-        RunScale {
-            file_bytes: 4 << 20,
-            random_ops: 256,
-            cpu_file_bytes: 4 << 20,
         }
     }
 }
@@ -316,9 +308,7 @@ pub fn fig12_run(scale: RunScale, runner: &Runner) -> (String, f64, f64) {
 
 /// The allocator-contiguity study. Returns `(rendered, best_mean_bytes,
 /// aged_mean_bytes)`.
-pub fn extents_run(quick: bool, runner: &Runner) -> (String, f64, f64) {
-    let (probe_mb, aged_target) = if quick { (4u64, 0.7) } else { (13u64, 0.88) };
-    let probe2_mb = if quick { 4u64 } else { 16 };
+pub fn extents_run(runner: &Runner) -> (String, f64, f64) {
     // Best case: fill a fresh partition with one file.
     let best_plan = RunPlan::new("extents/best", move |sim: &Sim| {
         let s = sim.clone();
@@ -326,7 +316,7 @@ pub fn extents_run(quick: bool, runner: &Runner) -> (String, f64, f64) {
             let w = paper_world(&s, Tuning::config_a(), WorldOptions::default())
                 .await
                 .expect("world");
-            probe_extents(&w, "best.dat", probe_mb << 20)
+            probe_extents(&w, "best.dat", 13 << 20)
                 .await
                 .expect("probe")
         })
@@ -341,14 +331,14 @@ pub fn extents_run(quick: bool, runner: &Runner) -> (String, f64, f64) {
             age_filesystem(
                 &w,
                 AgingOptions {
-                    target_fill: aged_target,
-                    rounds: if quick { 2 } else { 5 },
+                    target_fill: 0.88,
+                    rounds: 5,
                     seed: 0xA6E,
                 },
             )
             .await
             .expect("aging");
-            probe_extents(&w, "home/worst.dat", probe2_mb << 20)
+            probe_extents(&w, "home/worst.dat", 16 << 20)
                 .await
                 .expect("probe")
         })
@@ -394,17 +384,6 @@ impl AgingParams {
             probe_bytes: 8 << 20,
         }
     }
-
-    /// CI-scale aging: the small test world, 1 MB probes.
-    pub fn quick() -> AgingParams {
-        AgingParams {
-            rounds: 2,
-            target_fill: 0.70,
-            ops_per_round: 512,
-            inline_max: 512,
-            probe_bytes: 1 << 20,
-        }
-    }
 }
 
 /// The fragmentation/aging study: churns a UFS and an extentfs volume
@@ -414,7 +393,6 @@ impl AgingParams {
 /// side-by-side table plus the raw per-file-system decay curves.
 pub fn aging_run(
     params: AgingParams,
-    quick: bool,
     runner: &Runner,
 ) -> (String, Vec<(&'static str, Vec<DecayPoint>)>) {
     let decay_opts = DecayOptions {
@@ -427,11 +405,7 @@ pub fn aging_run(
     let ufs_plan = RunPlan::new("aging/ufs", move |sim: &Sim| {
         let s = sim.clone();
         sim.run_until(async move {
-            let opts = WorldOptions {
-                full_scale: !quick,
-                ..WorldOptions::default()
-            };
-            let w = paper_world(&s, Tuning::config_a(), opts)
+            let w = paper_world(&s, Tuning::config_a(), WorldOptions::default())
                 .await
                 .expect("world");
             // UFS ages a `/home` directory; extentfs is flat.
@@ -445,32 +419,10 @@ pub fn aging_run(
     let ext_plan = RunPlan::new("aging/extentfs", move |sim: &Sim| {
         let s = sim.clone();
         sim.run_until(async move {
-            let (disk_params, cache_params, pageout_params, ninodes) = if quick {
-                (
-                    DiskParams::small_test(),
-                    PageCacheParams::small_test(),
-                    PageoutParams::small_test(),
-                    256,
-                )
-            } else {
-                (
-                    DiskParams::sun0424(),
-                    PageCacheParams::sparcstation_8mb(),
-                    PageoutParams::sparcstation(),
-                    2048,
-                )
-            };
             let mut fs_params = extentfs::ExtentFsParams::with_extent_blocks(15);
             fs_params.inline_max = inline_max;
-            let w = extentfs::build_world_on(
-                &s,
-                Rc::new(Disk::new(&s, disk_params)),
-                cache_params,
-                pageout_params,
-                ninodes,
-                fs_params,
-            )
-            .expect("format");
+            let disk = Rc::new(Disk::new(&s, DiskParams::sun0424()));
+            let w = paper_ext_world(&s, disk, 2048, fs_params);
             clustering_decay(&w, "", &decay_opts).await.expect("decay")
         })
     });

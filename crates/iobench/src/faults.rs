@@ -42,16 +42,14 @@ use volmgr::{RaidLevel, SpindleState, Volume, VolumeSpec};
 use crate::report::{kbs, Table};
 use crate::runner::{RunPlan, Runner};
 
-/// 8 KB blocks per benchmark file (quick / full).
-const BLOCKS_QUICK: u64 = 128;
-const BLOCKS_FULL: u64 = 192;
+/// 8 KB blocks per benchmark file.
+const BLOCKS: u64 = 192;
 const BLOCK: usize = 8192;
 
 /// Read passes per phase window (healthy, pre-rebuild degraded, post-
-/// recovery), quick / full. The rebuilding window is open-ended: passes
-/// run until the online rebuild completes.
-const PASSES_QUICK: (u32, u32, u32) = (2, 2, 2);
-const PASSES_FULL: (u32, u32, u32) = (3, 3, 3);
+/// recovery). The rebuilding window is open-ended: passes run until the
+/// online rebuild completes.
+const PASSES: (u32, u32, u32) = (3, 3, 3);
 
 /// The spindle the built-in redundant scenarios kill.
 const VICTIM: u32 = 1;
@@ -134,14 +132,13 @@ type Sample = (SimTime, u64, bool);
 async fn read_pass<F: FileSystem>(
     w: &World<F>,
     file: &F::File,
-    nblocks: u64,
     samples: &mut Vec<Sample>,
     mismatches: &mut u64,
 ) {
     let sim = &w.sim;
     w.invalidate(file);
     let mut buf = vec![0u8; BLOCK];
-    for i in 0..nblocks {
+    for i in 0..BLOCKS {
         let t = sim.now();
         let ok = match file
             .read_into(i * BLOCK as u64, &mut buf, AccessMode::Copy)
@@ -170,15 +167,13 @@ async fn drive_passes<F: FileSystem>(
     vol: &Volume,
     faults: &[FaultDevice],
     scenario: &Scenario,
-    quick: bool,
 ) -> (Vec<Sample>, Events, u64) {
     let (sim, fs) = (&w.sim, &w.fs);
-    let nblocks = if quick { BLOCKS_QUICK } else { BLOCKS_FULL };
-    let (h, d, r) = if quick { PASSES_QUICK } else { PASSES_FULL };
+    let (h, d, r) = PASSES;
 
     // Lay the file down and make it durable before measuring.
     let file = fs.create("faults.dat").await.expect("create");
-    for i in 0..nblocks {
+    for i in 0..BLOCKS {
         file.write(i * BLOCK as u64, &block_pattern(i), AccessMode::Copy)
             .await
             .expect("prepare write");
@@ -190,7 +185,7 @@ async fn drive_passes<F: FileSystem>(
     let mut ev = Events::default();
     macro_rules! pass {
         () => {
-            read_pass(w, &file, nblocks, &mut samples, &mut mismatches).await
+            read_pass(w, &file, &mut samples, &mut mismatches).await
         };
     }
 
@@ -357,23 +352,16 @@ async fn run_episode<F: FileSystem>(
     vol: &Volume,
     faults: &[FaultDevice],
     scenario: &Scenario,
-    quick: bool,
 ) -> (Vec<PhaseStats>, u64, usize) {
     let t0 = w.sim.now();
-    let (samples, ev, mism) = drive_passes(w, vol, faults, scenario, quick).await;
+    let (samples, ev, mism) = drive_passes(w, vol, faults, scenario).await;
     let end = w.sim.now();
     let striped = matches!(scenario, Scenario::Striped);
     (bucket(&samples, t0, end, ev, striped), mism, samples.len())
 }
 
 /// Runs one (array × file system) cell on its own sim and reports it.
-fn run_cell(
-    sim: &Sim,
-    spec: VolumeSpec,
-    on_ufs: bool,
-    plan: Option<FaultPlan>,
-    quick: bool,
-) -> FaultCell {
+fn run_cell(sim: &Sim, spec: VolumeSpec, on_ufs: bool, plan: Option<FaultPlan>) -> FaultCell {
     let s = sim.clone();
     let ((phases, mismatches, reads), integrity) = sim.run_until(async move {
         let (vol, faults) = build_array(&s, &spec, plan.as_ref());
@@ -399,7 +387,7 @@ fn run_cell(
             )
             .await
             .expect("ufs world");
-            let measured = run_episode(&w, &vol, &faults, &scenario, quick).await;
+            let measured = run_episode(&w, &vol, &faults, &scenario).await;
             // Clean unmount, then the structured fsck verdict straight off
             // the (possibly rebuilt) array.
             w.fs.unmount().await.expect("unmount");
@@ -422,7 +410,7 @@ fn run_cell(
                 extentfs::ExtentFsParams::with_extent_blocks(15),
             )
             .expect("format");
-            let measured = run_episode(&w, &vol, &faults, &scenario, quick).await;
+            let measured = run_episode(&w, &vol, &faults, &scenario).await;
             let problems = w.fs.check();
             let integrity = if problems.is_empty() {
                 "check: clean".to_string()
@@ -463,7 +451,6 @@ fn default_specs() -> Vec<VolumeSpec> {
 pub fn faults_data(
     plan: Option<&FaultPlan>,
     volume: Option<&VolumeSpec>,
-    quick: bool,
     runner: &Runner,
 ) -> Vec<FaultCell> {
     let specs = match (plan, volume) {
@@ -480,7 +467,7 @@ pub fn faults_data(
             let fs = if on_ufs { "ufs" } else { "extentfs" };
             plans.push(RunPlan::new(
                 format!("faults/{spec}/{fs}"),
-                move |sim: &Sim| run_cell(sim, spec, on_ufs, p, quick),
+                move |sim: &Sim| run_cell(sim, spec, on_ufs, p),
             ));
         }
     }
@@ -526,8 +513,7 @@ pub fn faults_table(cells: &[FaultCell]) -> String {
 pub fn faults_run(
     plan: Option<&FaultPlan>,
     volume: Option<&VolumeSpec>,
-    quick: bool,
     runner: &Runner,
 ) -> String {
-    faults_table(&faults_data(plan, volume, quick, runner))
+    faults_table(&faults_data(plan, volume, runner))
 }

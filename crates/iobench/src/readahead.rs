@@ -286,7 +286,7 @@ mod tests {
         // 8 KB records every 256 KB: the stride outruns even a 120 KB
         // cluster, so the paper's predictor never hits and the stride
         // detector's record prefetch is pure profit.
-        let scale = RunScale::quick();
+        let scale = RunScale::paper();
         let fixed = cell(&Sim::new(), 0, PrefetchPolicy::Fixed, 256, 8, scale);
         let adaptive = cell(&Sim::new(), 0, PrefetchPolicy::Adaptive, 256, 8, scale);
         assert!(
@@ -306,7 +306,7 @@ mod tests {
     fn sequential_cell_matches_fixed_predictor() {
         // On a pure sequential scan the adaptive engine must not lose to
         // the paper's predictor.
-        let scale = RunScale::quick();
+        let scale = RunScale::paper();
         let fixed = cell(&Sim::new(), 0, PrefetchPolicy::Fixed, 8, 8, scale);
         let adaptive = cell(&Sim::new(), 0, PrefetchPolicy::Adaptive, 8, 8, scale);
         assert!(
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn extentfs_strided_cell_improves_and_counts() {
-        let scale = RunScale::quick();
+        let scale = RunScale::paper();
         let fixed = cell(&Sim::new(), 1, PrefetchPolicy::Fixed, 256, 32, scale);
         let adaptive = cell(&Sim::new(), 1, PrefetchPolicy::Adaptive, 256, 32, scale);
         assert!(adaptive.issued > 0, "adaptive issued no prefetch");
@@ -339,7 +339,7 @@ mod tests {
             PrefetchPolicy::Off,
             64,
             8,
-            RunScale::quick(),
+            RunScale::paper(),
         );
         assert_eq!(cell.issued, 0);
         assert_eq!(cell.hits, 0);

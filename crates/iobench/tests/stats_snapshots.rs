@@ -30,7 +30,7 @@ fn counter(json: &str, name: &str) -> u64 {
 /// measured phase — the whole simulated run).
 fn cell_snapshot(config: Config, kind: IoKind) -> String {
     let sink = StatsSink::new();
-    Runner::serial(Some(&sink)).run(vec![fig10_plan(config, kind, RunScale::quick())]);
+    Runner::serial(Some(&sink)).run(vec![fig10_plan(config, kind, RunScale::paper())]);
     let stats = sink.runs()[0].stats.clone();
     stats
 }
@@ -45,7 +45,7 @@ fn identical_runs_export_identical_json() {
         Runner::serial(Some(&sink)).run(vec![fig10_plan(
             Config::A,
             IoKind::SeqRead,
-            RunScale::quick(),
+            RunScale::paper(),
         )]);
         sink.to_json("fig10")
     };
@@ -93,8 +93,14 @@ fn sequential_reads_hit_the_track_buffer() {
 /// daemon does.
 #[test]
 fn free_behind_frees_more_pages_than_the_daemon() {
+    // 4 MB fits in the cache; at 16 MB the daemon out-frees the reader, 1,650 to 1,632 pages.
+    let fits_in_cache = RunScale {
+        file_bytes: 4 << 20,
+        random_ops: 256,
+        cpu_file_bytes: 4 << 20,
+    };
     let sink = StatsSink::new();
-    free_behind_run(RunScale::quick(), &Runner::serial(Some(&sink)));
+    free_behind_run(fits_in_cache, &Runner::serial(Some(&sink)));
     let runs = sink.runs();
     let on = &runs
         .iter()

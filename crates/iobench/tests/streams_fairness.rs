@@ -18,7 +18,7 @@ use simkit::Sim;
 fn streams_stats_json_is_deterministic() {
     let export = || {
         let sink = StatsSink::new();
-        let table = streams_run(3, RunScale::quick(), &Runner::serial(Some(&sink)));
+        let table = streams_run(3, RunScale::paper(), &Runner::serial(Some(&sink)));
         (table, sink.to_json("streams"))
     };
     let (t1, j1) = export();

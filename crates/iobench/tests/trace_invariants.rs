@@ -16,7 +16,7 @@ use simkit::Span;
 /// One Figure 10 cell, run alone under a sink that traces or not.
 fn cell(config: Config, kind: IoKind, tracing: bool) -> RunCapture {
     let sink = StatsSink::with_capture(tracing, None);
-    Runner::serial(Some(&sink)).run(vec![fig10_plan(config, kind, RunScale::quick())]);
+    Runner::serial(Some(&sink)).run(vec![fig10_plan(config, kind, RunScale::paper())]);
     let run = sink.runs()[0].clone();
     run
 }

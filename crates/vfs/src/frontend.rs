@@ -853,7 +853,7 @@ mod tests {
 
     #[test]
     fn pagein_retries_when_the_page_vanishes_mid_plan() {
-        // The branch every retry in `iobench all --quick` takes: the page
+        // The branch every retry in `iobench all` takes: the page
         // the fault found is gone by the time the plan is made.
         refault_after(|_, w, page| {
             let cache = w.cache.clone();

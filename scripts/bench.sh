@@ -3,13 +3,15 @@
 #
 #   scripts/bench.sh
 #
-# 1. Verifies the `--jobs` contract: `iobench fig10 --quick` must emit
+# 1. Verifies the `--jobs` contract: `iobench fig10` must emit
 #    byte-identical stdout, --stats-json, --trace, and --timeline output
-#    at jobs=1 and jobs=4. The volume, faults, aging and readahead
-#    experiments get the same check.
-# 2. Checks every experiment's stdout and stats document against the
-#    committed surfaces (scripts/surfaces.sh: the text in SURFACES.txt,
-#    the stats hash in SURFACES.sha256).
+#    at jobs=1 and jobs=4, and so must one RAID-5 volume and a custom
+#    fault plan. `iobench all --jobs 4` must print SURFACES.txt and a
+#    stats document whose hash is SURFACES.sha256, the jobs=1 baseline.
+# 2. Checks every experiment's stdout and stats document at jobs=1
+#    against the committed surfaces (scripts/surfaces.sh --check).
+#
+# Every run is at the paper's sizes. The fig10 traces are 160 MB each.
 #
 # These are correctness checks. Performance is measured by `benchmark/`
 # (see benchmark/README.md).
@@ -29,9 +31,9 @@ cargo build --release -p iobench
 BIN=target/release/iobench
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
-"$BIN" fig10 --quick --jobs 1 --stats-json "$TMP/s1.json" --trace "$TMP/t1.json" \
+"$BIN" fig10 --jobs 1 --stats-json "$TMP/s1.json" --trace "$TMP/t1.json" \
     --timeline "$TMP/l1.json" >"$TMP/out1.txt"
-"$BIN" fig10 --quick --jobs 4 --stats-json "$TMP/s4.json" --trace "$TMP/t4.json" \
+"$BIN" fig10 --jobs 4 --stats-json "$TMP/s4.json" --trace "$TMP/t4.json" \
     --timeline "$TMP/l4.json" >"$TMP/out4.txt"
 cmp "$TMP/out1.txt" "$TMP/out4.txt"
 cmp "$TMP/s1.json" "$TMP/s4.json"
@@ -42,9 +44,9 @@ echo "jobs=1 vs jobs=4: stdout, stats, trace, and timeline are byte-identical"
 
 # Same contract for the RAID volume experiment (fan-out across spindles
 # must not leak scheduling nondeterminism into any output surface).
-"$BIN" volume --volume raid5:3:32k --quick --jobs 1 \
+"$BIN" volume --volume raid5:3:32k --jobs 1 \
     --stats-json "$TMP/v1.json" --trace "$TMP/vt1.json" >"$TMP/vout1.txt"
-"$BIN" volume --volume raid5:3:32k --quick --jobs 4 \
+"$BIN" volume --volume raid5:3:32k --jobs 4 \
     --stats-json "$TMP/v4.json" --trace "$TMP/vt4.json" >"$TMP/vout4.txt"
 cmp "$TMP/vout1.txt" "$TMP/vout4.txt"
 cmp "$TMP/v1.json" "$TMP/v4.json"
@@ -52,41 +54,21 @@ cmp "$TMP/vt1.json" "$TMP/vt4.json"
 grep -q 'disk.busy_ns{spindle=' "$TMP/v1.json"
 echo "volume jobs=1 vs jobs=4: stdout, stats JSON, and trace are byte-identical"
 
-# Same contract for the fault-injection experiment (injected faults,
-# degraded service, and the online rebuild are all seeded virtual-time
-# events; a custom plan must replay byte-identically too).
-"$BIN" faults --quick --jobs 1 --stats-json "$TMP/f1.json" >"$TMP/fout1.txt"
-"$BIN" faults --quick --jobs 4 --stats-json "$TMP/f4.json" >"$TMP/fout4.txt"
-cmp "$TMP/fout1.txt" "$TMP/fout4.txt"
-cmp "$TMP/f1.json" "$TMP/f4.json"
-grep -q 'fault.injected' "$TMP/f1.json"
+# A custom fault plan (one array, transient errors, a death mid-run) must
+# replay byte-identically too.
 "$BIN" --faults 'seed=7,transient=0:100+64x2,die=1@2s' --volume raid5:4:16k \
-    --quick --jobs 1 >"$TMP/fpout1.txt"
+    --jobs 1 >"$TMP/fpout1.txt"
 "$BIN" --faults 'seed=7,transient=0:100+64x2,die=1@2s' --volume raid5:4:16k \
-    --quick --jobs 4 >"$TMP/fpout4.txt"
+    --jobs 4 >"$TMP/fpout4.txt"
 cmp "$TMP/fpout1.txt" "$TMP/fpout4.txt"
-echo "faults jobs=1 vs jobs=4: stdout and stats JSON are byte-identical"
+echo "custom fault plan jobs=1 vs jobs=4: stdout is byte-identical"
 
-# Same contract for the aging study (two virtual worlds churned on
-# separate workers must still re-emit deterministically in plan order).
-"$BIN" aging --quick --jobs 1 --stats-json "$TMP/a1.json" >"$TMP/aout1.txt"
-"$BIN" aging --quick --jobs 4 --stats-json "$TMP/a4.json" >"$TMP/aout4.txt"
-cmp "$TMP/aout1.txt" "$TMP/aout4.txt"
-cmp "$TMP/a1.json" "$TMP/a4.json"
-grep -q '"id":"aging/extentfs"' "$TMP/a1.json"
-echo "aging jobs=1 vs jobs=4: stdout and stats JSON are byte-identical"
+# Every experiment at jobs=4 against the jobs=1 baseline. New experiments
+# get their determinism coverage here, not another cmp leg above.
+"$BIN" all --jobs 4 --stats-json "$TMP/all4.json" >"$TMP/all4.txt"
+cmp "$TMP/all4.txt" SURFACES.txt
+echo "stats  $(sha256sum <"$TMP/all4.json" | cut -d' ' -f1)" | cmp - SURFACES.sha256
+echo "all jobs=4: stdout is SURFACES.txt and the stats hash is SURFACES.sha256"
 
-# Same contract for the adaptive-readahead sweep (30 runs across two file
-# systems and three prefetch policies; the prefetch counters in the stats
-# document are part of the byte-identity surface).
-"$BIN" readahead --quick --jobs 1 --stats-json "$TMP/r1.json" >"$TMP/rout1.txt"
-"$BIN" readahead --quick --jobs 4 --stats-json "$TMP/r4.json" >"$TMP/rout4.txt"
-cmp "$TMP/rout1.txt" "$TMP/rout4.txt"
-cmp "$TMP/r1.json" "$TMP/r4.json"
-grep -q 'io.prefetch_issued' "$TMP/r1.json"
-grep -q '"id":"readahead/ufs-A/adaptive/s256/r8"' "$TMP/r1.json"
-echo "readahead jobs=1 vs jobs=4: stdout and stats JSON are byte-identical"
-
-# Every experiment against the committed baseline. New experiments get
-# their determinism coverage here, not another cmp leg above.
+# And at jobs=1.
 scripts/surfaces.sh --check

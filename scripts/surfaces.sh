@@ -8,15 +8,17 @@
 #                                  SURFACES.txt and its stats hash equals
 #                                  SURFACES.sha256
 #
-# Runs `iobench all --quick --jobs 1 --stats-json` (146 runs, ~2 s).
+# Runs `iobench all --jobs 1 --stats-json`: every experiment at the
+# paper's sizes (146 runs, ~6 s on a 2-core x86-64 host).
 # SURFACES.txt is its stdout; SURFACES.sha256 holds the sha256 of the
 # stats document. Virtual time is a pure function of the configuration and
 # the simulator's only libm call is sqrt (exactly rounded), so neither
 # depends on the host.
 #
-# The run gets 512 MB of address space. It peaks near 60 MB when each
-# world is freed with its run and passed 2 GB when none was, so a world
-# that outlives its `Sim` again fails here, in the tier-1 gate.
+# The run gets 512 MB of address space. It peaks near 120 MB when each
+# world is freed with its run; when none was, even a quarter-size run
+# passed 2 GB. So a world that outlives its `Sim` again fails here, in the
+# tier-1 gate.
 #
 # A change that is meant to leave simulator behaviour alone must leave both
 # files alone. One that moves behaviour re-baselines them, so `git diff
@@ -42,7 +44,7 @@ TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 (
     ulimit -v 524288
-    target/release/iobench all --quick --jobs 1 --stats-json "$TMP/stats.json" \
+    target/release/iobench all --jobs 1 --stats-json "$TMP/stats.json" \
         >"$TMP/stdout.txt" 2>/dev/null
 )
 echo "stats  $(sha256sum <"$TMP/stats.json" | cut -d' ' -f1)" >"$TMP/now.sha256"

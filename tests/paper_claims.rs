@@ -142,7 +142,7 @@ fn clustering_reduces_cpu_per_byte() {
     // Figure 12: "The new UFS is approximately 25% more efficient in terms
     // of CPU cycles."
     let (_, new, old) = iobench::experiments::fig12_run(
-        iobench::experiments::RunScale::quick(),
+        iobench::experiments::RunScale::paper(),
         &iobench::runner::Runner::serial(None),
     );
     assert!(
